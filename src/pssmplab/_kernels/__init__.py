@@ -1,21 +1,5 @@
-"""Kernel backend selection: compiled core when available, numpy fallback
-otherwise.  Set PSSMPLAB_PURE_PYTHON=1 to force the fallback."""
+"""The Gaussian window kernel (dense numpy, see ``_py``)."""
 
-import os
-
-from . import _py
-
-if os.environ.get("PSSMPLAB_PURE_PYTHON"):
-    _impl = _py
-else:
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _py
-
-BACKEND = _impl.BACKEND
-STOP_AT_ZETA = _py.STOP_AT_ZETA
-TARGET = _py.TARGET
-advance_window = _impl.advance_window
+from ._py import BACKEND, STOP_AT_ZETA, TARGET, advance_window
 
 __all__ = ["BACKEND", "STOP_AT_ZETA", "TARGET", "advance_window"]

@@ -3,7 +3,7 @@
 Three execution paths, dispatched on the model:
 
 * Gaussian engine -- drift + Brownian (no jumps), windowed over the dt grid;
-  the inner loop is the compiled kernel (or its numpy fallback).
+  the inner loop is the dense numpy window kernel in _kernels.
 * Jump engine -- finite-activity jumps with zero Gaussian part; exact
   event-driven simulation, no grid.
 * Generic engine -- both components present; per-path simulation through

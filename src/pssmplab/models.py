@@ -408,6 +408,9 @@ class LevyModel:
     alpha: float = 1.0
 
     def __post_init__(self):
+        for name in ("drift", "gaussian", "killing", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
         if self.gaussian < 0:
@@ -678,6 +681,9 @@ def _number(doc: dict, key: str, path: str) -> float:
     v = _require(doc, key, path)
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ModelFileError(f"{path}.{key}: expected a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ModelFileError(
+            f"{path}.{key}: expected a finite number, got {v!r}")
     return float(v)
 
 

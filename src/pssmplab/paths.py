@@ -40,6 +40,10 @@ class SimConfig:
     stream_id: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.dt):
+            raise ValueError("dt must be finite")
+        if math.isnan(self.horizon):
+            raise ValueError("horizon must not be NaN")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
         if self.dt > self.horizon:

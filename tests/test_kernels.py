@@ -1,6 +1,8 @@
-"""Window-kernel backends: equivalence, target crossing, segment integrals."""
+"""Window kernel: bit-identity with the per-step recursion, target crossing,
+segment integrals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,14 +10,8 @@ from scipy import integrate
 
 from pssmplab import catalog
 from pssmplab._kernels import _py
-
-try:
-    from pssmplab._kernels import _core
-except ImportError:
-    _core = None
-
 from pssmplab.engine import HIT, KILLED, marginal_batch, segment_exp_integral
-from pssmplab.paths import SimConfig, stream_rng
+from pssmplab.paths import SimConfig
 
 
 def _state(n):
@@ -23,27 +19,129 @@ def _state(n):
                 done=np.zeros(n, np.uint8))
 
 
-def _run(impl, normals, zeta, target, mode, b=0.3, sigma=1.0, dt=0.01):
-    n = normals.shape[1]
-    s = _state(n)
-    impl.advance_window(s["x"], s["a"], s["t"], s["w"], s["done"], zeta,
-                        target, normals, b, sigma, dt, 1.0, -1.0, mode)
-    return s
+def _reference_window(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
+                      inv_alpha, sign, mode, seen):
+    """The kernel's contract written as a loop over paths and steps, one
+    scalar at a time.  ``seen`` counts the branches taken."""
+    s_ia = sign * inv_alpha
+    for i in range(x.size):
+        for k in range(normals.shape[0]):
+            if done[i]:
+                break
+            last = zeta[i] - t[i] <= dt
+            h = zeta[i] - t[i] if last else dt
+            inc = b * h + sigma * np.sqrt(h) * normals[k, i]
+            d = s_ia * inc
+            if d != 0.0:
+                phi = np.expm1(d) / d
+            else:
+                phi = 1.0
+                seen["d_zero"] += 1
+            seg = h * np.exp(s_ia * x[i]) * phi
+            if mode == _py.TARGET and seg >= target[i] - a[i]:
+                r = target[i] - a[i]
+                c = inc / h
+                kc = s_ia * c
+                eu = np.exp(-s_ia * x[i])
+                if abs(kc) * h < 1e-14:
+                    s_star = r * eu
+                    seen["small_kc"] += 1
+                else:
+                    s_star = np.log1p(r * kc * eu) / kc
+                x[i] = x[i] + c * s_star
+                t[i] += s_star
+                a[i] = target[i]
+                done[i] = 2
+                seen["cross_on_kill"] += bool(last)
+                break
+            a[i] += seg
+            w[i] += seg
+            x[i] += inc
+            t[i] += h
+            if last:
+                t[i] = zeta[i]
+                done[i] = 1
 
 
-@pytest.mark.skipif(_core is None, reason="compiled backend not built")
-def test_backends_agree_on_identical_draws():
-    rng = stream_rng(11, 0)
-    n = 500
-    normals = rng.standard_normal((128, n))
-    zeta = rng.exponential(1.0, n)
-    target = np.full(n, 0.4)
-    for mode in (_py.STOP_AT_ZETA, _py.TARGET):
-        a = _run(_py, normals.copy(), zeta.copy(), target.copy(), mode)
-        b = _run(_core, normals.copy(), zeta.copy(), target.copy(), mode)
-        np.testing.assert_array_equal(a["done"], b["done"])
-        for key in ("x", "a", "t", "w"):
-            np.testing.assert_allclose(a[key], b[key], rtol=1e-12, atol=1e-14)
+# (b, sigma): a Brownian window, then sigma = 0 with zero normals: a
+# standing path (d == 0), a linear path, and a drift so small that the
+# crossing takes the small-kc branch
+_SCENARIOS = [(0.3, 1.0), (0.0, 0.0), (-1.0, 0.0), (1e-16, 0.0)]
+
+
+def _scenario_window(rng, b, sigma, same_t, m=32, dt=0.05):
+    """A window's inputs: a batch larger than one column block for the
+    Brownian scenario; zeta inside the window or infinite; some paths done
+    on entry; nonzero incoming a and w; and targets that some paths cross,
+    some of them on their kill step."""
+    n = _py._BLOCK + 100 if sigma else 64
+    t = np.full(n, 0.3) if same_t else rng.uniform(0.0, 2.0, n)
+    zeta = t + rng.uniform(0.0, 1.3 * m * dt, n)
+    zeta[rng.random(n) < 0.3] = np.inf
+    # kill a quarter halfway through a step, with the target a quarter
+    # step in: on the linear path A crosses it on the kill step
+    j = rng.integers(0, m, n)
+    on_kill = rng.random(n) < 0.25
+    zeta[on_kill] = t[on_kill] + (j[on_kill] + 0.5) * dt
+    x = rng.normal(size=n)
+    a = rng.exponential(0.2, n)
+    w = rng.exponential(0.05, n)
+    done = np.where(rng.random(n) < 0.1, rng.integers(1, 3, n),
+                    0).astype(np.uint8)
+    target = a + rng.exponential(0.5 * m * dt, n)
+    s = 2.0  # sign * inv_alpha below
+    h = (j[on_kill] + 0.25) * dt
+    lin = np.exp(s * x[on_kill]) * (
+        np.expm1(s * b * h) / (s * b) if b else h)
+    target[on_kill] = a[on_kill] + lin
+    normals = rng.standard_normal((m, n)) if sigma else np.zeros((m, n))
+    return [x, a, t, w, done], zeta, target, normals
+
+
+@pytest.mark.parametrize("same_t", [True, False])
+def test_window_matches_per_step_recursion_bit_for_bit(same_t):
+    rng = np.random.default_rng(7)
+    seen = dict(d_zero=0, small_kc=0, cross_on_kill=0)
+    for b, sigma in _SCENARIOS:
+        state, zeta, target, normals = _scenario_window(rng, b, sigma, same_t)
+        for mode in (_py.STOP_AT_ZETA, _py.TARGET):
+            args = (zeta, target, normals, b, sigma, 0.05, 2.0, 1.0, mode)
+            ref = [v.copy() for v in state]
+            got = [v.copy() for v in state]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _reference_window(*ref, *args, seen)
+                _py.advance_window(*got, *args)
+            for name, r, g in zip("x a t w done".split(), ref, got):
+                assert np.array_equal(r, g), (b, sigma, mode, name)
+            assert (got[4] == 1).any()
+            if mode == _py.TARGET:
+                assert (got[4] == 2).any()
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("t0, dt", [(0.3, 0.05), (-2.0 ** -54, 0.5)])
+def test_kill_row_on_clock_edges(t0, dt):
+    # zeta on or next to a grid time, where zeta - t <= dt is decided by
+    # rounding; with t0 = -2^-54, zeta = 1 is a tie: zeta - (0.5 - 2^-54)
+    # rounds to 0.5 = dt, so the kill row is the step that starts there
+    m = 8
+    clock = np.cumsum(np.r_[t0, np.full(m, dt)])
+    zeta = np.concatenate([clock + dt, clock, clock + 2 * dt, [1.0]])
+    zeta = np.concatenate([zeta, np.nextafter(zeta, np.inf),
+                           np.nextafter(zeta, -np.inf)])
+    zeta = zeta[zeta > t0]
+    n = zeta.size
+    args = (zeta, np.full(n, np.inf), np.zeros((m, n)), -1.0, 0.0, dt, 1.0,
+            1.0, _py.STOP_AT_ZETA)
+    ref = [np.zeros(n), np.zeros(n), np.full(n, t0), np.zeros(n),
+           np.zeros(n, np.uint8)]
+    got = [v.copy() for v in ref]
+    _reference_window(*ref, *args, dict(d_zero=0, small_kc=0,
+                                        cross_on_kill=0))
+    _py.advance_window(*got, *args)
+    for r, g in zip(ref, got):
+        assert np.array_equal(r, g)
 
 
 def test_stop_at_zeta_exact_boundary():

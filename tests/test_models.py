@@ -209,6 +209,24 @@ def test_model_validation():
         TemperedPower(q=1.0, beta=1.2, delta=0.01)
 
 
+@pytest.mark.parametrize("field", ["drift", "gaussian", "killing", "alpha"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match=field):
+        LevyModel(**{field: bad})
+
+
+def test_model_from_dict_rejects_nan_drift():
+    doc = {"drift": math.nan, "gaussian": 1.0, "jumps": [], "killing": 0.125,
+           "alpha": 1.0}
+    with pytest.raises(ModelFileError, match=r"\$\.drift: .*finite"):
+        model_from_dict(doc)
+    with pytest.raises(ModelFileError, match=r"\$\.jumps\[0\]\.rate"):
+        model_from_dict(dict(doc, drift=0.0, jumps=[
+            {"type": "compound_poisson", "rate": math.inf,
+             "law": {"type": "point_mass", "value": 1.0}}]))
+
+
 def test_hits_zero():
     assert catalog.brownian().hits_zero()
     assert catalog.pure_drift().hits_zero()

@@ -95,6 +95,11 @@ def test_config_validation():
         SimConfig(dt=0.0)
     with pytest.raises(ValueError):
         SimConfig(dt=2.0, horizon=1.0)
+    for dt in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt"):
+            SimConfig(dt=dt)
+    with pytest.raises(ValueError, match="horizon"):
+        SimConfig(horizon=math.nan)
     with pytest.raises(ValueError):
         stream_rng(0, -1)
     with pytest.raises(ValueError):
