@@ -30,8 +30,9 @@ unrolled, and it returns the same bits:
 
 * clock: ``T[r] = t + dt + ... + dt`` (r adds, in order) is the time before
   step r, the value ``t += dt`` reaches.  ``zeta - T[r]`` does not grow
-  with r, so ``last`` holds on a suffix of the window, and the kill row (its
-  first row) is found exactly, by bisection when all paths share t;
+  with r, so ``last`` holds on a suffix of the window: a path dies in the
+  window when it holds on the last row, and its kill row (the suffix's
+  first row) is m minus the count of rows where it holds;
 * steps: every row is a full ``dt`` step, ``inc = b dt + sigma sqrt(dt) N``
   and ``seg = dt e^{s X} phi``, except the kill row, which is recomputed
   with ``dt_eff = zeta - T``.  Each is the recursion's own expression on
@@ -46,7 +47,6 @@ unrolled, and it returns the same bits:
   crossing is solved in closed form from that row.
 """
 
-import math
 import threading
 
 import numpy as np
@@ -96,37 +96,15 @@ def _accumulate(out, first, rows):
 
 def _clock(t, m, dt):
     """(m + 1, k) times before each step and after the last: t + dt + ...
-    + dt, one add at a time.  Paths that share t share one column."""
+    + dt, one add at a time (accumulate adds in order).  When all paths
+    share t, as they do in the Gaussian engine, one column is computed and
+    broadcast."""
     if (t.view(np.int64) == t[:1].view(np.int64)).all():
-        col = np.empty(m + 1)
-        col[0] = t[0]
-        col[1:] = dt
-        return np.broadcast_to(np.cumsum(col)[:, None], (m + 1, t.size))
-    T = np.empty((m + 1, t.size))
-    return _accumulate(T, t, np.full((m, 1), dt))
-
-
-def _kill_rows(zeta, T, dt):
-    """Per path, the first step r with zeta - T[r] <= dt (the step that
-    reaches zeta), or m when none does.  zeta - T[r] does not grow with r, so
-    the steps that satisfy it are a suffix of the window."""
-    m = T.shape[0] - 1
-    if T.strides[1] != 0:
-        return m - np.count_nonzero(zeta - T[:m] <= dt, axis=0)
-    # one clock column: bisect it, then step to the exact boundary
-    Tc = T[:m, 0]
-    r = np.searchsorted(Tc, zeta - dt)
-    while True:
-        back = (r > 0) & (zeta - Tc[np.maximum(r - 1, 0)] <= dt)
-        if not back.any():
-            break
-        r[back] -= 1
-    while True:
-        ahead = (r < m) & ~(zeta - Tc[np.minimum(r, m - 1)] <= dt)
-        if not ahead.any():
-            break
-        r[ahead] += 1
-    return r
+        t = t[:1]
+    col = np.empty((m + 1, t.size))
+    col[0] = t
+    col[1:] = dt
+    return np.cumsum(col, axis=0)
 
 
 def _advance_block(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
@@ -140,10 +118,14 @@ def _advance_block(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
     buf_a, X, buf_d = _buffers(m, k)
     inc, d = buf_a[:m], buf_d[:m]
     col = np.arange(k)
-    T = _clock(t, m, dt)
-    kill = _kill_rows(zeta, T, dt)
-    kcol = np.flatnonzero(kill < m)
-    krow = kill[kcol]
+    T = np.broadcast_to(_clock(t, m, dt), (m + 1, k))
+    # kill row: each path's first step with zeta - T <= dt, or m if none;
+    # zeta - T does not grow down a column, so those steps are a suffix,
+    # and only the paths whose last step satisfies it die in this window
+    kcol = np.flatnonzero(zeta - T[m - 1] <= dt)
+    krow = m - np.count_nonzero(zeta[kcol] - T[:m, kcol] <= dt, axis=0)
+    kill = np.full(k, m)
+    kill[kcol] = krow
     dt_k = zeta[kcol] - T[krow, kcol]
     # every step is a full dt step except the kill row; rows past a path's
     # stop row are computed as more full steps but never read
