@@ -17,7 +17,7 @@ Done codes written into ``done``: 0 running, 1 stopped at zeta, 2 hit target.
 
 Dense formulation.  A whole window is computed as ``(m + 1, k)`` arrays, one
 row per grid step and one column per path, on column blocks of at most
-``_BLOCK`` paths; no Python loop runs over paths, and only plain row adds
+``_block(m)`` paths; no Python loop runs over paths, and only plain row adds
 run over steps.  It is the per-step recursion
 
     last    = zeta - t <= dt
@@ -56,9 +56,10 @@ BACKEND = "python"
 STOP_AT_ZETA = 0
 TARGET = 2
 
-# paths per column block: with m = 128 a thread's scratch buffers take 1.6 MB;
-# 1024 paths ran about 5 % faster but raised peak RSS by about 2 MB
-_BLOCK = 512
+# cells per column block: 512 paths of a 128-step window, so a thread's
+# scratch buffers take 1.6 MB for any window length; 1024 paths ran about
+# 5 % faster at m = 128 but raised peak RSS by about 2 MB
+_BLOCK_CELLS = 512 * 129
 
 # per-thread scratch buffers, reused across calls: fresh MB-sized arrays
 # cost a page fault per 4 KB on every call
@@ -74,12 +75,18 @@ def _buffers(m, k):
     return [b[:size].reshape(m + 1, k) for b in bufs]
 
 
+def _block(m):
+    """Paths per column block of an m-step window."""
+    return max(1, _BLOCK_CELLS // (m + 1))
+
+
 def advance_window(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
                    inv_alpha, sign, mode):
-    n = normals.shape[1]
+    m, n = normals.shape
     s_ia = sign * inv_alpha
-    for j in range(0, n, _BLOCK):
-        cols = slice(j, min(j + _BLOCK, n))
+    block = _block(m)
+    for j in range(0, n, block):
+        cols = slice(j, min(j + block, n))
         _advance_block(x[cols], a[cols], t[cols], w[cols], done[cols],
                        zeta[cols], target[cols], normals[:, cols], b, sigma,
                        dt, s_ia, mode)
@@ -96,15 +103,19 @@ def _accumulate(out, first, rows):
 
 def _clock(t, m, dt):
     """(m + 1, k) times before each step and after the last: t + dt + ...
-    + dt, one add at a time (accumulate adds in order).  When all paths
-    share t, as they do in the Gaussian engine, one column is computed and
-    broadcast."""
+    + dt, one add at a time.  When all paths share t, as they do for
+    jump-free models, one column is computed and broadcast.  Per-path
+    clocks are added row by row: cumsum down a wide array is about 40 times
+    slower."""
     if (t.view(np.int64) == t[:1].view(np.int64)).all():
-        t = t[:1]
-    col = np.empty((m + 1, t.size))
-    col[0] = t
-    col[1:] = dt
-    return np.cumsum(col, axis=0)
+        col = np.full((m + 1, 1), dt)
+        col[0] = t[0]
+        return np.cumsum(col, axis=0)
+    T = np.empty((m + 1, t.size))
+    T[0] = t
+    for r in range(m):
+        np.add(T[r], dt, out=T[r + 1])
+    return T
 
 
 def _advance_block(x, a, t, w, done, zeta, target, normals, b, sigma, dt,

@@ -21,8 +21,9 @@ def brownian() -> LevyModel:
 
 
 def two_sided() -> LevyModel:
-    """Killed drift plus two-sided exponential jumps; exact event-driven
-    simulation (no time-discretization error)."""
+    """Killed drift plus two-sided exponential jumps.  With no Gaussian
+    part, paths are exact: straight drift segments between exact jump
+    epochs (no time-discretization error)."""
     return LevyModel(
         drift=-1.0, gaussian=0.0,
         jumps=(CompoundPoisson(rate=1.0,

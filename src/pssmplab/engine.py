@@ -1,17 +1,20 @@
-"""Batch Monte Carlo engines for exponential functionals and marginals.
+"""Batch Monte Carlo engine for exponential functionals and marginals.
 
-Three execution paths, dispatched on the model:
+One windowed loop serves every model class.  Each window advances the live
+paths through the dense numpy window kernel in _kernels: 128 steps of dt
+for the Gaussian part or, for a model without one, a single exact drift
+segment of length _WINDOW_TIME (the dt grid only discretizes the Brownian
+part).  Jump epochs are exact per-path stop times: the kernel stops a path
+at min(zeta, next jump epoch), and at a jump epoch the loop adds a jump
+size, draws the next epoch and resumes the path in the next window.
 
-* Gaussian engine -- drift + Brownian (no jumps), windowed over the dt grid;
-  the inner loop is the dense numpy window kernel in _kernels.
-* Jump engine -- finite-activity jumps with zero Gaussian part; exact
-  event-driven simulation, no grid.
-* Generic engine -- both components present; per-path simulation through
-  paths.sample_levy_path (correct but slow, no acceptance-scale use).
-
-All engines accumulate A = integral e^{sign * xi_s / alpha} ds either up to
-the killing time or, for conservative models, adaptively until a whole
-trailing window contributes less than rel_tol of the running total.
+The loop accumulates A = integral e^{sign * xi_s / alpha} ds up to the
+killing time or, for conservative models, until the part of A added since
+the last reading (one whole window, or at least a window's time for a path
+stopped by a jump) is below rel_tol of the running total.  In marginal
+mode the kernel also stops each path where A crosses its target.  The
+horizon is read at the end of each window, so a censored path may run past
+it by up to one window.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ import numpy as np
 
 from . import _kernels
 from .models import LevyModel
-from .paths import SimConfig, sample_levy_path
+from .paths import SimConfig
 
 __all__ = ["FunctionalBatch", "MarginalBatch", "functional_batch",
            "marginal_batch", "segment_exp_integral"]
 
-# status codes shared by all engines
+# path status codes
 KILLED = 1     # reached zeta; A is the full integral up to killing
 HIT = 2        # marginal mode: A crossed the target
 CONVERGED = 3  # conservative model: trailing window below rel_tol
@@ -42,7 +45,6 @@ _WINDOW_TIME = 4.0
 class FunctionalBatch:
     values: np.ndarray      # accumulated integral per path
     censored: np.ndarray    # bool: horizon hit before killing/convergence
-    final_x: np.ndarray     # xi at the stopping time
 
 
 @dataclass
@@ -61,57 +63,6 @@ def segment_exp_integral(x0, inc, gap, inv_alpha, sign=1.0):
     return gap * np.exp(u) * phi
 
 
-# ---------------------------------------------------------------------------
-# Gaussian engine
-
-
-def _gauss_run(b, sigma, inv_alpha, sign, kappa, n, rng, dt, horizon,
-               rel_tol, min_time, targets=None):
-    mode = _kernels.TARGET if targets is not None else _kernels.STOP_AT_ZETA
-    if kappa > 0:
-        zeta = rng.exponential(1.0 / kappa, n)
-    else:
-        zeta = np.full(n, np.inf)
-    x = np.zeros(n)
-    a = np.zeros(n)
-    t = np.zeros(n)
-    tgt = np.asarray(targets, dtype=float).copy() if targets is not None \
-        else np.zeros(n)
-    live = np.arange(n)
-    out_a = np.zeros(n)
-    out_x = np.zeros(n)
-    status = np.full(n, CENSORED, dtype=np.int8)
-
-    while live.size:
-        k = live.size
-        normals = rng.standard_normal((_WINDOW_STEPS, k))
-        w = np.zeros(k)
-        done = np.zeros(k, np.uint8)
-        _kernels.advance_window(x, a, t, w, done, zeta, tgt, normals,
-                                float(b), float(sigma), float(dt),
-                                float(inv_alpha), float(sign), mode)
-        st = done.astype(np.int8)
-        free = zeta == np.inf
-        conv = (done == 0) & free & (t >= min_time) & (w < rel_tol * a)
-        st[conv] = CONVERGED
-        cens = (st == 0) & (t >= horizon)
-        st[cens] = CENSORED
-        finished = st != 0
-        if finished.any():
-            idx = live[finished]
-            out_a[idx] = a[finished]
-            out_x[idx] = x[finished]
-            status[idx] = st[finished]
-            keep = ~finished
-            live = live[keep]
-            x, a, t, zeta, tgt = x[keep], a[keep], t[keep], zeta[keep], tgt[keep]
-    return out_a, out_x, status
-
-
-# ---------------------------------------------------------------------------
-# jump engine (finite activity, sigma = 0)
-
-
 def _draw_jump_sizes(specs, rates, total_rate, rng, k):
     if len(specs) == 1:
         return specs[0].sample_sizes(rng, k)
@@ -127,25 +78,30 @@ def _draw_jump_sizes(specs, rates, total_rate, rng, k):
     return sizes
 
 
-def _jump_run(model: LevyModel, inv_alpha, sign, n, rng, horizon,
-              rel_tol, min_time, targets=None):
-    b = model.drift
-    kappa = model.killing
-    specs = model.jumps
-    rates = np.array([s.intensity for s in specs])
-    total_rate = float(rates.sum())
-    s_ia = sign * inv_alpha
-    if kappa > 0:
-        zeta = rng.exponential(1.0 / kappa, n)
+def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, min_time,
+         targets=None):
+    """A, xi and the status of n paths, each where its path stopped."""
+    sigma = math.sqrt(model.gaussian)
+    m, step = (_WINDOW_STEPS, dt) if sigma > 0 else (1, _WINDOW_TIME)
+    span = m * step
+    mode = _kernels.TARGET if targets is not None else _kernels.STOP_AT_ZETA
+    if model.killing > 0:
+        zeta = rng.exponential(1.0 / model.killing, n)
     else:
         zeta = np.full(n, np.inf)
+    rates = np.array([s.intensity for s in model.jumps])
+    total_rate = float(rates.sum())
+    if model.jumps:
+        jump_at = rng.exponential(1.0 / total_rate, n)
+    else:
+        jump_at = np.full(n, np.inf)
     x = np.zeros(n)
     a = np.zeros(n)
     t = np.zeros(n)
     w = np.zeros(n)
-    next_check = np.full(n, _WINDOW_TIME)
+    next_check = np.full(n, span)
     tgt = np.asarray(targets, dtype=float).copy() if targets is not None \
-        else None
+        else np.zeros(n)
     live = np.arange(n)
     out_a = np.zeros(n)
     out_x = np.zeros(n)
@@ -153,53 +109,32 @@ def _jump_run(model: LevyModel, inv_alpha, sign, n, rng, horizon,
 
     while live.size:
         k = live.size
-        st = np.zeros(k, np.int8)
-        wait = rng.exponential(1.0 / total_rate, k)
-        stop = np.minimum(zeta, horizon)
-        seg_end = np.minimum(t + wait, stop)
-        gap = seg_end - t
-        seg = segment_exp_integral(x, b * gap, gap, inv_alpha, sign)
-
-        cross = np.zeros(k, bool)
-        if tgt is not None:
-            cross = seg >= tgt - a
-            if cross.any():
-                x0 = x[cross]
-                r = (tgt - a)[cross]
-                kc = s_ia * b
-                eu = np.exp(-s_ia * x0)
-                if abs(kc) < 1e-300:
-                    s_star = r * eu
-                else:
-                    s_star = np.log1p(r * kc * eu) / kc
-                x[cross] = x0 + b * s_star
-                a[cross] = tgt[cross]
-                t[cross] += s_star
-                st[cross] = HIT
-
-        run = ~cross
-        a[run] += seg[run]
-        w[run] += seg[run]
-        x[run] += b * gap[run]
-        t[run] = seg_end[run]
-
-        jumped = run & (seg_end < stop)
-        kj = int(jumped.sum())
-        if kj:
-            sizes = _draw_jump_sizes(specs, rates, total_rate, rng, kj)
-            x[jumped] += sizes
-
-        st[run & ~jumped & (seg_end >= zeta)] = KILLED
-        st[(st == 0) & run & ~jumped & (seg_end >= horizon)] = CENSORED
-
-        due = (st == 0) & (t >= next_check)
-        if due.any():
-            conv = due & (zeta == np.inf) & (t >= min_time) & (w < rel_tol * a)
-            st[conv] = CONVERGED
-            reset = due & ~conv
-            w[reset] = 0.0
-            next_check[reset] = t[reset] + _WINDOW_TIME
-
+        normals = rng.standard_normal((m, k)) if sigma > 0 \
+            else np.zeros((m, k))
+        done = np.zeros(k, np.uint8)
+        _kernels.advance_window(x, a, t, w, done, np.minimum(zeta, jump_at),
+                                tgt, normals, float(model.drift), sigma,
+                                float(step), 1.0 / model.alpha, float(sign),
+                                mode)
+        st = done.astype(np.int8)
+        # stopped at a jump epoch rather than at zeta: jump and go on
+        jumped = (st == KILLED) & (jump_at < zeta)
+        ji = np.flatnonzero(jumped)
+        if ji.size:
+            st[ji] = 0
+            x[ji] += _draw_jump_sizes(model.jumps, rates, total_rate, rng,
+                                      ji.size)
+            jump_at[ji] = t[ji] + rng.exponential(1.0 / total_rate, ji.size)
+        # convergence is read after a full window, or at a jump once a
+        # window's time has passed since the last reading, never on a
+        # window that a jump cut short
+        due = (done == 0) | (jumped & (t >= next_check))
+        conv = due & (zeta == np.inf) & (t >= min_time) & (w < rel_tol * a)
+        st[conv] = CONVERGED
+        reset = due & ~conv
+        w[reset] = 0.0
+        next_check[reset] = t[reset] + span
+        st[(st == 0) & (t >= horizon)] = CENSORED
         finished = st != 0
         if finished.any():
             idx = live[finished]
@@ -208,60 +143,10 @@ def _jump_run(model: LevyModel, inv_alpha, sign, n, rng, horizon,
             status[idx] = st[finished]
             keep = ~finished
             live = live[keep]
-            x, a, t, w = x[keep], a[keep], t[keep], w[keep]
-            zeta, next_check = zeta[keep], next_check[keep]
-            if tgt is not None:
-                tgt = tgt[keep]
+            x, a, t, w, tgt = x[keep], a[keep], t[keep], w[keep], tgt[keep]
+            zeta, jump_at = zeta[keep], jump_at[keep]
+            next_check = next_check[keep]
     return out_a, out_x, status
-
-
-# ---------------------------------------------------------------------------
-# generic per-path engine
-
-
-def _generic_run(model: LevyModel, inv_alpha, sign, n, rng, dt, horizon,
-                 rel_tol, min_time):
-    cfg = SimConfig(dt=dt, horizon=horizon, seed=0)
-    out_a = np.zeros(n)
-    out_x = np.zeros(n)
-    status = np.full(n, CENSORED, dtype=np.int8)
-    for i in range(n):
-        path = sample_levy_path(model, cfg, rng=rng)
-        left = path.left_limits()
-        gaps = np.diff(path.times)
-        segs = segment_exp_integral(path.values[:-1],
-                                    left[1:] - path.values[:-1],
-                                    gaps, inv_alpha, sign)
-        out_a[i] = segs.sum()
-        out_x[i] = path.values[-1]
-        if path.zeta is not None:
-            status[i] = KILLED
-        else:
-            tail = segs[path.times[1:] > path.times[-1] - _WINDOW_TIME].sum()
-            if path.times[-1] >= min_time and tail < rel_tol * out_a[i]:
-                status[i] = CONVERGED
-    return out_a, out_x, status
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def _dispatch(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, min_time,
-              targets=None):
-    inv_alpha = 1.0 / model.alpha
-    if not model.jumps:
-        return _gauss_run(model.drift, math.sqrt(model.gaussian), inv_alpha,
-                          sign, model.killing, n, rng, dt, horizon, rel_tol,
-                          min_time, targets)
-    if model.gaussian == 0:
-        return _jump_run(model, inv_alpha, sign, n, rng, horizon, rel_tol,
-                         min_time, targets)
-    if targets is not None:
-        raise NotImplementedError(
-            "marginal sampling for mixed Gaussian+jump models")
-    return _generic_run(model, inv_alpha, sign, n, rng, dt, horizon,
-                        rel_tol, min_time)
 
 
 def functional_batch(model: LevyModel, sign: float, n: int,
@@ -270,9 +155,9 @@ def functional_batch(model: LevyModel, sign: float, n: int,
                      min_time: float = 1.0) -> FunctionalBatch:
     """n draws of integral_0^stop e^{sign*xi/alpha}; censored marks paths
     that hit the horizon before killing or convergence."""
-    a, x, status = _dispatch(model, sign, n, rng, config.dt, config.horizon,
-                             rel_tol, min_time)
-    return FunctionalBatch(values=a, censored=status == CENSORED, final_x=x)
+    a, _, status = _run(model, sign, n, rng, config.dt, config.horizon,
+                        rel_tol, min_time)
+    return FunctionalBatch(values=a, censored=status == CENSORED)
 
 
 def marginal_batch(model: LevyModel, targets: np.ndarray,
@@ -281,7 +166,7 @@ def marginal_batch(model: LevyModel, targets: np.ndarray,
     """xi at the first time A crosses each target (the Lamperti clock),
     KILLED where zeta arrives first (the pssMp is already at 0)."""
     targets = np.asarray(targets, dtype=float)
-    a, x, status = _dispatch(model, 1.0, targets.size, rng, config.dt,
-                             config.horizon, rel_tol=0.0, min_time=np.inf,
-                             targets=targets)
+    _, x, status = _run(model, 1.0, targets.size, rng, config.dt,
+                        config.horizon, rel_tol=0.0, min_time=np.inf,
+                        targets=targets)
     return MarginalBatch(xi=x, status=status)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -107,7 +107,6 @@ class ExtensionPath:
     restarts: List[Tuple[float, float]]
     epsilon_used: float
     gamma: float
-    occupation_weights: np.ndarray = field(default=None, repr=False)
 
     def to_json_records(self):
         for t, x in self.restarts:

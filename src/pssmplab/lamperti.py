@@ -19,16 +19,15 @@ horizon.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .engine import segment_exp_integral, marginal_batch, HIT
+from .engine import HIT, functional_batch, marginal_batch, segment_exp_integral
 from .errors import HorizonTooShort, StartsAtZero
 from .models import LevyModel
-from .paths import LevyPath, SimConfig, sample_levy_path, stream_rng
+from .paths import LevyPath, SimConfig
 
 __all__ = ["PssmpPath", "levy_to_pssmp", "pssmp_to_levy",
            "hitting_time_samples", "pssmp_marginal"]
@@ -114,13 +113,9 @@ def pssmp_to_levy(path: PssmpPath) -> LevyPath:
 
     du = np.diff(times) / scale
     a, b = xi[:-1], xi[1:]
-    diff = (b - a) * inv_alpha
-    ea = np.exp(a * inv_alpha)
-    # du = ds * ea * (e^{diff} - 1)/diff  =>  ds = du / (ea * phi)
-    phi = np.ones_like(diff)
-    nz = diff != 0.0
-    phi[nz] = np.expm1(diff[nz]) / diff[nz]
-    ds = du / (ea * phi)
+    # du = ds * e^{a/alpha} * (e^d - 1)/d with d = (b - a)/alpha; the last
+    # two factors are the clock increment of the segment over unit time
+    ds = du / segment_exp_integral(a, b - a, 1.0, inv_alpha)
     s = np.concatenate(([0.0], np.cumsum(ds)))
     zeta = float(s[-1]) if path.t0 is not None else None
     return LevyPath(times=s, values=xi, pre_jump=np.full(s.size, np.nan),
@@ -131,23 +126,15 @@ def hitting_time_samples(model: LevyModel, x0: float, n: int,
                          config: SimConfig):
     """n independent draws of the first hitting time of 0 under P_{x0}.
 
-    Each draw is produced pathwise (one Levy path, one clock), so the identity
-    t0 = x0^{1/alpha} * I holds exactly on the shared randomness.  Returns
-    (values, censored); censored draws carry the clock value reached at the
-    horizon, a lower bound for t0.
+    Each draw is t0 = x0^{1/alpha} * I with I from functional_batch on the
+    config's stream, so the identity holds exactly across x0 on shared
+    randomness.  Returns (values, censored); censored draws carry the clock
+    value reached at the horizon, a lower bound for t0.
     """
-    out = np.empty(n)
-    censored = np.zeros(n, bool)
-    rng = config.rng()
-    for i in range(n):
-        path = sample_levy_path(model, config, rng=rng)
-        ps = levy_to_pssmp(path, x0, model.alpha, allow_truncated=True)
-        if ps.t0 is None:
-            out[i] = ps.times[-1]
-            censored[i] = True
-        else:
-            out[i] = ps.t0
-    return out, censored
+    if x0 <= 0:
+        raise ValueError("x0 must be > 0")
+    batch = functional_batch(model, 1.0, n, config.rng(), config)
+    return x0 ** (1.0 / model.alpha) * batch.values, batch.censored
 
 
 def pssmp_marginal(model: LevyModel, x0: float, t: float, n: int,

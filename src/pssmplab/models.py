@@ -38,8 +38,6 @@ __all__ = [
     "LevyModel",
     "CramerReport",
     "BetaClass",
-    "psi",
-    "psi_derivative",
     "cramer_root",
     "esscher",
     "dual",
@@ -437,6 +435,7 @@ class LevyModel:
         return all(j.domain_sup > s or j.finite_at_sup for j in self.jumps)
 
     def psi(self, lam: float) -> float:
+        """Laplace exponent; +inf encodes lam outside the finiteness domain."""
         if lam > self.domain_sup or lam < self.domain_inf:
             return math.inf
         out = -self.killing + self.drift * lam + 0.5 * self.gaussian * lam * lam
@@ -459,13 +458,6 @@ class LevyModel:
 
     def hits_zero(self) -> bool:
         return self.killing > 0 or self.mean() < 0
-
-    @property
-    def total_jump_rate(self) -> float:
-        return sum(j.intensity for j in self.jumps)
-
-    def is_conservative(self) -> bool:
-        return self.killing == 0
 
     def to_json(self) -> dict:
         return model_to_dict(self)
@@ -506,15 +498,6 @@ class CramerReport:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def psi(model: LevyModel, lam: float) -> float:
-    """Laplace exponent; +inf encodes lam outside the finiteness domain."""
-    return model.psi(lam)
-
-
-def psi_derivative(model: LevyModel, lam: float) -> float:
-    return model.psi_derivative(lam)
 
 
 def _find_upper_sign_change(model: LevyModel, tol: float):

@@ -63,18 +63,21 @@ def _reference_window(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
                 done[i] = 1
 
 
-# (b, sigma): a Brownian window, then sigma = 0 with zero normals: a
-# standing path (d == 0), a linear path, and a drift so small that the
-# crossing takes the small-kc branch
-_SCENARIOS = [(0.3, 1.0), (0.0, 0.0), (-1.0, 0.0), (1e-16, 0.0)]
+# (b, sigma, m, wide): a Brownian window, then sigma = 0 with zero normals:
+# a standing path (d == 0), a linear path, a drift so small that the
+# crossing takes the small-kc branch, and a one-row linear window (the
+# engine's window for a model without a Gaussian part); a wide batch has
+# more paths than one column block of its window
+_SCENARIOS = [(0.3, 1.0, 32, True), (0.0, 0.0, 32, False),
+              (-1.0, 0.0, 32, False), (1e-16, 0.0, 32, False),
+              (-1.0, 0.0, 1, True)]
 
 
-def _scenario_window(rng, b, sigma, same_t, m=32, dt=0.05):
-    """A window's inputs: a batch larger than one column block for the
-    Brownian scenario; zeta inside the window or infinite; some paths done
-    on entry; nonzero incoming a and w; and targets that some paths cross,
-    some of them on their kill step."""
-    n = _py._BLOCK + 100 if sigma else 64
+def _scenario_window(rng, b, sigma, m, wide, same_t, dt=0.05):
+    """A window's inputs: zeta inside the window or infinite; some paths
+    done on entry; nonzero incoming a and w; and targets that some paths
+    cross, some of them on their kill step."""
+    n = _py._block(m) + 100 if wide else 64
     t = np.full(n, 0.3) if same_t else rng.uniform(0.0, 2.0, n)
     zeta = t + rng.uniform(0.0, 1.3 * m * dt, n)
     zeta[rng.random(n) < 0.3] = np.inf
@@ -102,8 +105,9 @@ def _scenario_window(rng, b, sigma, same_t, m=32, dt=0.05):
 def test_window_matches_per_step_recursion_bit_for_bit(same_t):
     rng = np.random.default_rng(7)
     seen = dict(d_zero=0, small_kc=0, cross_on_kill=0)
-    for b, sigma in _SCENARIOS:
-        state, zeta, target, normals = _scenario_window(rng, b, sigma, same_t)
+    for b, sigma, m, wide in _SCENARIOS:
+        state, zeta, target, normals = _scenario_window(rng, b, sigma, m,
+                                                        wide, same_t)
         for mode in (_py.STOP_AT_ZETA, _py.TARGET):
             args = (zeta, target, normals, b, sigma, 0.05, 2.0, 1.0, mode)
             ref = [v.copy() for v in state]
@@ -113,7 +117,7 @@ def test_window_matches_per_step_recursion_bit_for_bit(same_t):
                 _reference_window(*ref, *args, seen)
                 _py.advance_window(*got, *args)
             for name, r, g in zip("x a t w done".split(), ref, got):
-                assert np.array_equal(r, g), (b, sigma, mode, name)
+                assert np.array_equal(r, g), (b, sigma, m, mode, name)
             assert (got[4] == 1).any()
             if mode == _py.TARGET:
                 assert (got[4] == 2).any()
