@@ -12,7 +12,6 @@ from .expfun import (
     negative_moment_check,
     recursion_check,
     sample_I,
-    sample_J,
 )
 from .extensions import (
     ExtensionConfig,

@@ -39,6 +39,7 @@ CENSORED = 4   # horizon exhausted first
 
 _WINDOW_STEPS = 128
 _WINDOW_TIME = 4.0
+_MIN_TIME = 1.0    # a conservative path is not read as converged before it
 
 
 @dataclass
@@ -78,8 +79,7 @@ def _draw_jump_sizes(specs, rates, total_rate, rng, k):
     return sizes
 
 
-def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, min_time,
-         targets=None):
+def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
     """A, xi and the status of n paths, each where its path stopped."""
     sigma = math.sqrt(model.gaussian)
     m, step = (_WINDOW_STEPS, dt) if sigma > 0 else (1, _WINDOW_TIME)
@@ -129,7 +129,7 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, min_time,
         # window's time has passed since the last reading, never on a
         # window that a jump cut short
         due = (done == 0) | (jumped & (t >= next_check))
-        conv = due & (zeta == np.inf) & (t >= min_time) & (w < rel_tol * a)
+        conv = due & (zeta == np.inf) & (t >= _MIN_TIME) & (w < rel_tol * a)
         st[conv] = CONVERGED
         reset = due & ~conv
         w[reset] = 0.0
@@ -151,12 +151,11 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, min_time,
 
 def functional_batch(model: LevyModel, sign: float, n: int,
                      rng: np.random.Generator, config: SimConfig,
-                     rel_tol: float = 1e-6,
-                     min_time: float = 1.0) -> FunctionalBatch:
+                     rel_tol: float = 1e-6) -> FunctionalBatch:
     """n draws of integral_0^stop e^{sign*xi/alpha}; censored marks paths
     that hit the horizon before killing or convergence."""
     a, _, status = _run(model, sign, n, rng, config.dt, config.horizon,
-                        rel_tol, min_time)
+                        rel_tol)
     return FunctionalBatch(values=a, censored=status == CENSORED)
 
 
@@ -166,7 +165,7 @@ def marginal_batch(model: LevyModel, targets: np.ndarray,
     """xi at the first time A crosses each target (the Lamperti clock),
     KILLED where zeta arrives first (the pssMp is already at 0)."""
     targets = np.asarray(targets, dtype=float)
+    # rel_tol = 0: a path stops only at its target, at zeta or the horizon
     _, x, status = _run(model, 1.0, targets.size, rng, config.dt,
-                        config.horizon, rel_tol=0.0, min_time=np.inf,
-                        targets=targets)
+                        config.horizon, rel_tol=0.0, targets=targets)
     return MarginalBatch(xi=x, status=status)

@@ -32,8 +32,8 @@ from .errors import (
 from .models import LevyModel, cramer_root, dual, esscher
 from .paths import SimConfig
 
-__all__ = ["ExpFunEstimate", "CheckReport", "sample_I", "sample_J",
-           "sample_I_batch", "sample_J_batch", "moment", "recursion_check",
+__all__ = ["ExpFunEstimate", "CheckReport", "sample_I", "sample_I_batch",
+           "sample_J_batch", "moment", "recursion_check",
            "dual_identity_check", "negative_moment_check"]
 
 NEAR_CRITICAL_PSI = 0.02
@@ -101,14 +101,6 @@ def sample_I(model: LevyModel, config: SimConfig,
     values, censored = sample_I_batch(model, 1, config, rel_tol=rel_tol)
     if censored[0]:
         raise HorizonTooShort("I draw censored at the horizon")
-    return float(values[0])
-
-
-def sample_J(tilted: LevyModel, config: SimConfig,
-             rel_tol: float = 1e-6) -> float:
-    values, censored = sample_J_batch(tilted, 1, config, rel_tol=rel_tol)
-    if censored[0]:
-        raise HorizonTooShort("J draw censored at the horizon")
     return float(values[0])
 
 
@@ -193,17 +185,17 @@ def recursion_check(model: LevyModel, beta: float, n: int,
                        censored=lhs.censored + low.censored)
 
 
-def _theta_or_raise(model: LevyModel) -> float:
+def _root_or_raise(model: LevyModel):
     report = cramer_root(model)
     if report.theta is None:
         raise NoCramerRoot("psi has no positive root on its domain")
-    return report.theta
+    return report
 
 
 def dual_identity_check(model: LevyModel, n: int,
                         config: SimConfig) -> CheckReport:
     """E_tilted(J^{alpha theta - 1}) against E(I^{alpha theta - 1})."""
-    theta = _theta_or_raise(model)
+    theta = _root_or_raise(model).theta
     p = model.alpha * theta - 1.0
     tilted = esscher(model, theta)
     jv, jc = sample_J_batch(tilted, n, config, rng=config.rng())
@@ -217,18 +209,21 @@ def dual_identity_check(model: LevyModel, n: int,
 
 def negative_moment_check(model: LevyModel, n: int,
                           config: SimConfig) -> CheckReport:
-    """E_tilted(J^{-1}) against the analytic derivative psi'(theta)."""
-    theta = _theta_or_raise(model)
-    report = cramer_root(model)
-    if report.condition4_finite is False or \
-            not math.isfinite(report.psi_prime_at_theta):
+    """E_tilted(J^{-1}) against the analytic psi'(theta)/alpha.
+
+    Under the tilted model xi drifts to +inf with E(xi_1) = psi'(theta), and
+    J = integral e^{-xi/alpha} is the exponential functional of xi/alpha, so
+    E(J^{-1}) = E(xi_1)/alpha (Bertoin & Yor 2005).
+    """
+    report = _root_or_raise(model)
+    if not report.condition4_finite:
         raise DerivativeInfinite(
             "psi'_-(theta) diverges (boundary root): E_tilted(J^{-1}) is "
             "infinite and the estimate grows with n instead of stabilizing")
-    tilted = esscher(model, theta)
+    tilted = esscher(model, report.theta)
     jv, jc = sample_J_batch(tilted, n, config, rng=config.rng())
     lhs = _power_mean(jv, jc, -1.0, n, "")
-    rhs = report.psi_prime_at_theta
+    rhs = report.psi_prime_at_theta / model.alpha
     z = abs(lhs.value - rhs) / lhs.std_err if lhs.std_err > 0 else 0.0
     return CheckReport(lhs=lhs.value, rhs=rhs, std_err=lhs.std_err, z_score=z,
                        n=n, censored=lhs.censored)

@@ -39,6 +39,13 @@ __all__ = ["ExtensionConfig", "ExtensionPath", "sample_jump_in_restart",
            "excursion_normalization_check", "resolvent_crosscheck",
            "occupation_histogram", "make_test_function"]
 
+# time quadratures of the entrance law run to t_max = _E_FOLDS / lam, where
+# the weight e^{-lam t} is e^{-40}
+_E_FOLDS = 40.0
+_NORMALIZATION_NODES = 512   # t nodes of excursion_normalization_check
+_RESOLVENT_T_NODES = 256     # t nodes of resolvent_crosscheck
+_RESOLVENT_X_NODES = 64      # Gauss-Legendre x nodes of resolvent_crosscheck
+
 
 # ---------------------------------------------------------------------------
 # test-function catalog
@@ -279,8 +286,7 @@ def _u_substitution_grid(at: float, t_max: float, m: int):
 
 
 def excursion_normalization_check(model: LevyModel, n: int,
-                                  config: SimConfig, grid: int = 512,
-                                  t_max: float = 40.0) -> dict:
+                                  config: SimConfig) -> dict:
     """Check that the Monte Carlo entrance law integrates e^{-t} to 1.
 
     With f = 1 the entrance mass is t^{-at}/Gamma(1-at) and the integral
@@ -289,7 +295,7 @@ def excursion_normalization_check(model: LevyModel, n: int,
     """
     _, at, _ = _tilted_setup(model)
     p = 1.0 - at
-    u, t = _u_substitution_grid(at, t_max, grid)
+    u, t = _u_substitution_grid(at, _E_FOLDS, _NORMALIZATION_NODES)
     curve = entrance_law_curve(model, t, {"kind": "one"}, n, config)
     # integrand in u: e^{-t} * value(t) * t^{at} / p  (dt = t^{at}/p du)
     g = np.exp(-t) * curve.values * t ** at / p
@@ -306,8 +312,7 @@ def excursion_normalization_check(model: LevyModel, n: int,
 
 
 def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
-                         config: SimConfig, t_nodes: int = 256,
-                         x_nodes: int = 64) -> dict:
+                         config: SimConfig) -> dict:
     """Resolvent of the excursion measure by two independent pipelines.
 
     lhs: time-quadrature of the entrance law, n(int_0^{T0} e^{-lam t} f(X_t) dt).
@@ -321,8 +326,7 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
 
     # --- lhs: t-quadrature with the u-substitution grid
     p = 1.0 - at
-    t_max = 40.0 / lam
-    u, t = _u_substitution_grid(at, t_max, t_nodes)
+    u, t = _u_substitution_grid(at, _E_FOLDS / lam, _RESOLVENT_T_NODES)
     curve = entrance_law_curve(model, t, func, n, config)
     g = np.exp(-lam * t) * curve.values * t ** at / p
     gse = np.exp(-lam * t) * curve.std_errs * t ** at / p
@@ -349,7 +353,7 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     if not on.any():
         raise ValueError("test function is identically zero on the probe grid")
     a, b = probe[on][0] * 0.999, probe[on][-1] * 1.001
-    nodes, weights = np.polynomial.legendre.leggauss(x_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(_RESOLVENT_X_NODES)
     x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
     wq = 0.5 * (b - a) * weights
 

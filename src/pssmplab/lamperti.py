@@ -32,7 +32,10 @@ from .paths import LevyPath, SimConfig
 __all__ = ["PssmpPath", "levy_to_pssmp", "pssmp_to_levy",
            "hitting_time_samples", "pssmp_marginal"]
 
+# a conservative path's clock has converged when its last _TAIL_WINDOW of
+# time adds less than _TAIL_REL_TOL of the total
 _TAIL_WINDOW = 4.0
+_TAIL_REL_TOL = 1e-6
 
 
 @dataclass
@@ -67,7 +70,6 @@ def _clock_increments(path: LevyPath, alpha: float) -> np.ndarray:
 
 
 def levy_to_pssmp(path: LevyPath, x0: float, alpha: float,
-                  rel_tol: float = 1e-6,
                   allow_truncated: bool = False) -> PssmpPath:
     """Map a Levy path to the self-similar path started at x0."""
     if x0 <= 0:
@@ -83,7 +85,7 @@ def levy_to_pssmp(path: LevyPath, x0: float, alpha: float,
                          x0=x0, alpha=alpha)
     # conservative path: the clock converges iff the tail window is negligible
     tail = segs[path.times[1:] > path.times[-1] - _TAIL_WINDOW].sum()
-    if tail < rel_tol * clock[-1]:
+    if tail < _TAIL_REL_TOL * clock[-1]:
         return PssmpPath(times=times, values=values, t0=float(times[-1]),
                          x0=x0, alpha=alpha)
     if allow_truncated:

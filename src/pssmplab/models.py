@@ -8,6 +8,19 @@ positive Markov process obtained from it by time change.  The Laplace exponent
 
 is strictly convex on its finiteness domain; everything in this module is a
 pure function of immutable values.
+
+Finiteness is stated once: every exponent and mgf returns +inf outside its
+domain, and the existence verdicts (the Cramer root, condition 4
+psi'(theta) < inf, the boundary-root regime) are read off psi and psi'
+alone.  A new jump law for CompoundPoisson provides ``domain_sup`` (the
+upper end of its mgf domain, which brackets the root search), ``mgf`` and
+``mgf_derivative`` (+inf outside the domain), ``tilted(theta)`` returning
+(mgf(theta), tilted law), ``reflected()``, ``sample(rng, size)`` and
+``to_json()``; a new jump component next to CompoundPoisson and
+TemperedPower provides ``intensity``, ``domain_sup``, ``exponent`` and
+``exponent_derivative`` (+inf outside the domain), ``tilted``,
+``reflected``, ``sample_sizes`` and ``to_json``.  Model files name each
+law in ``_law_from_dict`` / ``_jump_from_dict``.
 """
 
 from __future__ import annotations
@@ -49,7 +62,9 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-10
-ROOT_TOL = 1e-12
+ROOT_TOL = 1e-12      # bisection width and |psi(theta)| of cramer_root
+TILT_TOL = 1e-8       # |psi(theta)| that esscher accepts as a root
+CRITICAL_TOL = 1e-9   # |psi(beta)| that classify_beta reads as critical
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +88,6 @@ class Exponential:
     def domain_sup(self) -> float:
         return self.rate if self.sign > 0 else math.inf
 
-    @property
-    def domain_inf(self) -> float:
-        return -self.rate if self.sign < 0 else -math.inf
-
     def mgf(self, lam: float) -> float:
         s = self.sign * lam
         if s >= self.rate:
@@ -89,9 +100,6 @@ class Exponential:
             return math.inf
         return self.sign * self.rate / (self.rate - s) ** 2
 
-    def mean(self) -> float:
-        return self.sign / self.rate
-
     def tilted(self, theta: float) -> Tuple[float, "Exponential"]:
         m = self.mgf(theta)
         if not math.isfinite(m):
@@ -100,9 +108,6 @@ class Exponential:
 
     def reflected(self) -> "Exponential":
         return Exponential(self.rate, -self.sign)
-
-    def upward_exp_moment_finite(self, theta: float) -> bool:
-        return self.sign < 0 or theta < self.rate
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.sign * rng.exponential(1.0 / self.rate, size=size)
@@ -130,10 +135,6 @@ class TwoSidedExponential:
     def domain_sup(self) -> float:
         return self.rate_pos if self.p_pos > 0 else math.inf
 
-    @property
-    def domain_inf(self) -> float:
-        return -self.rate_neg if self.p_pos < 1 else -math.inf
-
     def mgf(self, lam: float) -> float:
         out = 0.0
         if self.p_pos > 0:
@@ -156,22 +157,19 @@ class TwoSidedExponential:
             out -= (1 - self.p_pos) * self.rate_neg / (self.rate_neg + lam) ** 2
         return out
 
-    def mean(self) -> float:
-        return self.p_pos / self.rate_pos - (1 - self.p_pos) / self.rate_neg
-
     def tilted(self, theta: float) -> Tuple[float, "TwoSidedExponential"]:
         m = self.mgf(theta)
         if not math.isfinite(m):
             raise TiltOutsideDomain(f"tilt {theta} outside domain of {self}")
         mp = self.p_pos * self.rate_pos / (self.rate_pos - theta) if self.p_pos > 0 else 0.0
+        # a side with no mass keeps its rate: its domain bound is not real
         return m, TwoSidedExponential(
-            self.rate_pos - theta, self.rate_neg + theta, mp / m)
+            self.rate_pos - theta if self.p_pos > 0 else self.rate_pos,
+            self.rate_neg + theta if self.p_pos < 1 else self.rate_neg,
+            mp / m)
 
     def reflected(self) -> "TwoSidedExponential":
         return TwoSidedExponential(self.rate_neg, self.rate_pos, 1.0 - self.p_pos)
-
-    def upward_exp_moment_finite(self, theta: float) -> bool:
-        return self.p_pos == 0 or theta < self.rate_pos
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         up = rng.random(size) < self.p_pos
@@ -197,27 +195,20 @@ class PointMass:
     def domain_sup(self) -> float:
         return math.inf
 
-    @property
-    def domain_inf(self) -> float:
-        return -math.inf
-
     def mgf(self, lam: float) -> float:
-        return math.exp(lam * self.value)
+        try:
+            return math.exp(lam * self.value)
+        except OverflowError:  # finite, but beyond the float range
+            return math.inf
 
     def mgf_derivative(self, lam: float) -> float:
         return self.value * math.exp(lam * self.value)
-
-    def mean(self) -> float:
-        return self.value
 
     def tilted(self, theta: float) -> Tuple[float, "PointMass"]:
         return math.exp(theta * self.value), self
 
     def reflected(self) -> "PointMass":
         return PointMass(-self.value)
-
-    def upward_exp_moment_finite(self, theta: float) -> bool:
-        return True
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value)
@@ -249,14 +240,6 @@ class CompoundPoisson:
     def domain_sup(self) -> float:
         return self.law.domain_sup
 
-    @property
-    def domain_inf(self) -> float:
-        return self.law.domain_inf
-
-    @property
-    def finite_at_sup(self) -> bool:
-        return False
-
     def exponent(self, lam: float) -> float:
         m = self.law.mgf(lam)
         return math.inf if not math.isfinite(m) else self.rate * (m - 1.0)
@@ -265,18 +248,12 @@ class CompoundPoisson:
         d = self.law.mgf_derivative(lam)
         return math.inf if not math.isfinite(d) else self.rate * d
 
-    def mean_rate(self) -> float:
-        return self.rate * self.law.mean()
-
     def tilted(self, theta: float) -> "CompoundPoisson":
         m, law = self.law.tilted(theta)
         return CompoundPoisson(self.rate * m, law)
 
     def reflected(self) -> "CompoundPoisson":
         return CompoundPoisson(self.rate, self.law.reflected())
-
-    def upward_exp_moment_finite(self, theta: float) -> bool:
-        return self.law.upward_exp_moment_finite(theta)
 
     def sample_sizes(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.law.sample(rng, size)
@@ -323,15 +300,6 @@ class TemperedPower:
     def domain_sup(self) -> float:
         return self.q if self.sign > 0 else math.inf
 
-    @property
-    def domain_inf(self) -> float:
-        return -self.q if self.sign < 0 else -math.inf
-
-    @property
-    def finite_at_sup(self) -> bool:
-        # at lam = q the integrand becomes (1 - e^{-qx}) x^{-1-beta}, integrable
-        return self.sign > 0
-
     def small_jump_bias_bound(self) -> float:
         return self.delta ** (1.0 - self.beta) / (1.0 - self.beta)
 
@@ -356,9 +324,6 @@ class TemperedPower:
             delta, math.inf, epsabs=_QUAD_TOL, epsrel=1e-12, limit=200)
         return self.sign * val
 
-    def mean_rate(self) -> float:
-        return self.exponent_derivative(0.0)
-
     def tilted(self, theta: float) -> "TemperedPower":
         s = self.sign * theta
         if s > self.q:
@@ -367,10 +332,6 @@ class TemperedPower:
 
     def reflected(self) -> "TemperedPower":
         return TemperedPower(self.q, self.beta, self.delta, -self.sign)
-
-    def upward_exp_moment_finite(self, theta: float) -> bool:
-        # integral of x^{-beta} e^{(theta - q)x} diverges at theta = q for beta < 1
-        return self.sign < 0 or theta < self.q
 
     def sample_sizes(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # Pareto proposal via inverse CDF, thinned by exp(-q (x - delta))
@@ -423,21 +384,8 @@ class LevyModel:
     def domain_sup(self) -> float:
         return min((j.domain_sup for j in self.jumps), default=math.inf)
 
-    @property
-    def domain_inf(self) -> float:
-        return max((j.domain_inf for j in self.jumps), default=-math.inf)
-
-    @property
-    def finite_at_domain_sup(self) -> bool:
-        s = self.domain_sup
-        if not math.isfinite(s):
-            return False
-        return all(j.domain_sup > s or j.finite_at_sup for j in self.jumps)
-
     def psi(self, lam: float) -> float:
         """Laplace exponent; +inf encodes lam outside the finiteness domain."""
-        if lam > self.domain_sup or lam < self.domain_inf:
-            return math.inf
         out = -self.killing + self.drift * lam + 0.5 * self.gaussian * lam * lam
         for j in self.jumps:
             out += j.exponent(lam)
@@ -500,13 +448,14 @@ class CramerReport:
 # operations
 
 
-def _find_upper_sign_change(model: LevyModel, tol: float):
-    """Return (lo, hi) bracketing a sign change of psi, theta for an exact
-    boundary root, or None when psi stays negative on (0, sup E)."""
+def _find_upper_sign_change(model: LevyModel):
+    """Return ("bracket", hi) with psi(hi) > 0, ("boundary", sup) for an
+    exact root at the domain boundary, or None when psi stays negative on
+    (0, sup E)."""
     sup = model.domain_sup
     if math.isfinite(sup):
-        if model.finite_at_domain_sup:
-            v = model.psi(sup)
+        v = model.psi(sup)
+        if math.isfinite(v):
             if abs(v) <= 1e-9:
                 return ("boundary", sup)
             if v < 0:
@@ -535,7 +484,7 @@ def _find_upper_sign_change(model: LevyModel, tol: float):
     return None
 
 
-def cramer_root(model: LevyModel, tol: float = ROOT_TOL) -> CramerReport:
+def cramer_root(model: LevyModel) -> CramerReport:
     """Locate the positive root of psi (Cramer's condition) by bisection.
 
     psi(0) = -kappa <= 0 and psi is strictly convex, so there is at most one
@@ -546,7 +495,7 @@ def cramer_root(model: LevyModel, tol: float = ROOT_TOL) -> CramerReport:
             "model needs killing > 0 or negative mean to hit zero")
     sup = model.domain_sup
     theta = None
-    found = _find_upper_sign_change(model, tol)
+    found = _find_upper_sign_change(model)
     if found is not None:
         kind, val = found
         if kind == "boundary":
@@ -561,8 +510,11 @@ def cramer_root(model: LevyModel, tol: float = ROOT_TOL) -> CramerReport:
                     lo *= 0.5
                     if lo < 1e-300:
                         break
-            while hi - lo > tol or abs(model.psi(0.5 * (lo + hi))) > tol:
+            while hi - lo > ROOT_TOL or \
+                    abs(model.psi(0.5 * (lo + hi))) > ROOT_TOL:
                 mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:  # no float left between them
+                    break
                 if model.psi(mid) < 0:
                     lo = mid
                 else:
@@ -580,8 +532,9 @@ def cramer_root(model: LevyModel, tol: float = ROOT_TOL) -> CramerReport:
     cond4 = None
     cont = False
     if theta is not None:
-        cond4 = all(j.upward_exp_moment_finite(theta) for j in model.jumps)
-        psi_prime = model.psi_derivative(theta) if cond4 else math.inf
+        # condition 4 of the existence theorem: psi'(theta) < inf
+        psi_prime = model.psi_derivative(theta)
+        cond4 = math.isfinite(psi_prime)
         alpha_theta = model.alpha * theta
         cont = alpha_theta < 1.0
     return CramerReport(
@@ -595,22 +548,21 @@ def cramer_root(model: LevyModel, tol: float = ROOT_TOL) -> CramerReport:
     )
 
 
-def esscher(model: LevyModel, theta: float, tol: float = 1e-8) -> LevyModel:
+def esscher(model: LevyModel, theta: float) -> LevyModel:
     """Exponential tilt at the Cramer root: removes killing, shifts the drift
     by gaussian*theta and tilts every jump law; psi_tilted(lam) = psi(lam+theta)."""
     if theta == 0.0:
         if model.killing != 0:
             raise NotCramerRoot("theta=0 is a root only for conservative models")
         return model
-    if theta > model.domain_sup or theta < model.domain_inf:
-        raise TiltOutsideDomain(
-            f"theta={theta} outside Laplace-exponent domain "
-            f"({model.domain_inf}, {model.domain_sup})")
     v = model.psi(theta)
     if not math.isfinite(v):
-        raise TiltOutsideDomain(f"psi({theta}) is not finite")
-    if abs(v) > tol:
-        raise NotCramerRoot(f"psi({theta}) = {v:g} is not 0 within {tol:g}")
+        raise TiltOutsideDomain(
+            f"theta={theta} outside the Laplace-exponent domain: "
+            f"psi({theta}) = {v}")
+    if abs(v) > TILT_TOL:
+        raise NotCramerRoot(
+            f"psi({theta}) = {v:g} is not 0 within {TILT_TOL:g}")
     return LevyModel(
         drift=model.drift + model.gaussian * theta,
         gaussian=model.gaussian,
@@ -631,12 +583,12 @@ def dual(model: LevyModel) -> LevyModel:
     )
 
 
-def classify_beta(model: LevyModel, beta: float, tol: float = 1e-9) -> BetaClass:
+def classify_beta(model: LevyModel, beta: float) -> BetaClass:
     """Jump-in extension existence verdict for a candidate index beta."""
     if not 0.0 < beta < 1.0 / model.alpha:
         raise BetaOutOfRange(f"beta={beta} not in (0, {1.0 / model.alpha})")
     v = model.psi(beta)
-    if math.isfinite(v) and abs(v) <= tol:
+    if math.isfinite(v) and abs(v) <= CRITICAL_TOL:
         return BetaClass.CRITICAL
     if v < 0:
         return BetaClass.JUMP_IN_EXISTS

@@ -152,9 +152,8 @@ def sample_increment_batch(model: LevyModel, t: float, n: int,
                            rng: Optional[np.random.Generator] = None):
     """n independent draws of xi_t together with a killed-before-t flag.
 
-    The Gaussian part is accumulated over the dt grid (exact increments, so
-    the law does not depend on dt); jump totals are exact Poisson sums.
-    Returns (values, killed) where values[killed] are left in place but only
+    The Gaussian part is one exact N(0, gaussian * t) draw per path; jump
+    totals are exact Poisson sums.  Returns (values, killed) where values[killed] are left in place but only
     surviving draws enter E(e^{lam xi_t}, t < zeta) estimates.
     """
     if t > config.horizon:
@@ -166,13 +165,10 @@ def sample_increment_batch(model: LevyModel, t: float, n: int,
     else:
         killed = np.zeros(n, bool)
 
-    n_steps = max(1, int(math.ceil(t / config.dt)))
-    gaps = np.full(n_steps, config.dt)
-    gaps[-1] = t - config.dt * (n_steps - 1)
     values = np.full(n, model.drift * t)
     if model.gaussian > 0:
-        z = rng.standard_normal((n_steps, n))
-        values = values + math.sqrt(model.gaussian) * (np.sqrt(gaps) @ z)
+        values = values + math.sqrt(model.gaussian * t) * \
+            rng.standard_normal(n)
     for spec in model.jumps:
         counts = rng.poisson(spec.intensity * t, n)
         total = int(counts.sum())

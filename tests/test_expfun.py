@@ -1,6 +1,7 @@
 """Exponential functionals I and J: exact cases, gates, identity checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,10 +99,13 @@ def test_dual_identity_two_sided():
 
 
 def test_negative_moment_brownian():
-    # E_tilted(J^{-1}) = psi'(theta) = 1/2 for the Brownian model
-    rep = negative_moment_check(catalog.brownian(), 20000, CFG)
-    assert rep.rhs == pytest.approx(0.5, abs=1e-9)
-    assert rep.z_score < 5.0
+    # E_tilted(J^{-1}) = psi'(theta)/alpha, with psi'(theta) = 1/2 for the
+    # Brownian model (Bertoin & Yor 2005: E(1/J) = E xi_1 for J = int e^{-xi})
+    for alpha in (1.0, 0.5):
+        m = replace(catalog.brownian(), alpha=alpha)
+        rep = negative_moment_check(m, 20000, CFG)
+        assert rep.rhs == pytest.approx(0.5 / alpha, abs=1e-9)
+        assert rep.z_score < 5.0
 
 
 def test_negative_moment_boundary_root_diverges():

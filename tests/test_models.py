@@ -1,9 +1,12 @@
 """Laplace exponent, root finding, tilting, duality and model files."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pssmplab import catalog
 from pssmplab.errors import (
@@ -47,7 +50,9 @@ def test_compound_poisson_psi_matches_mgf():
     # outside the finiteness domain psi is encoded as +inf
     assert m.psi(2.5) == math.inf
     assert m.domain_sup == 2.0
-    assert m.domain_inf == -1.0
+    # the downward Exp(1) side bounds the domain below at -1
+    assert m.psi(-1.0) == math.inf
+    assert math.isfinite(m.psi(-0.999))
 
 
 def test_cramer_root_brownian():
@@ -91,8 +96,43 @@ def test_boundary_root_model():
     # alpha = 0.5 keeps alpha*theta < 1, so the continuous verdict holds
     assert rep.alpha_theta == pytest.approx(0.5, abs=1e-9)
     assert rep.continuous_extension_exists
-    assert m.finite_at_domain_sup
+    assert math.isfinite(m.psi(m.domain_sup))
     assert abs(m.psi(1.0)) < 1e-9
+
+
+def test_cramer_root_stops_at_float_resolution():
+    # root near 2e4, where adjacent floats are 3.6e-12 apart: wider than the
+    # bisection tolerance, so the bracket can only close to adjacent floats
+    m = LevyModel(drift=1e-4, killing=1.0,
+                  jumps=(CompoundPoisson(1.0, Exponential(4.0, sign=-1)),))
+    rep = cramer_root(m)
+    assert rep.theta == pytest.approx(2e4, rel=1e-3)
+    assert abs(m.psi(rep.theta)) < 1e-12
+
+
+def test_psi_beyond_float_range_is_inf():
+    # psi(500) overflows in the point-mass term; the root lies far below
+    m = LevyModel(drift=-3.0, killing=0.5, jumps=(
+        CompoundPoisson(1.0, PointMass(2.0)),
+        CompoundPoisson(1.0, Exponential(500.0))))
+    assert m.psi(500.0) == math.inf
+    rep = cramer_root(m)
+    assert abs(m.psi(rep.theta)) < 1e-12
+    assert rep.condition4_finite
+
+
+def test_esscher_keeps_the_rate_of_a_massless_side():
+    # downward Exp(2) jumps written as a two-sided law with p_pos = 0: its
+    # rate_pos = 1.5 bounds nothing, and the root sqrt(6) lies beyond it
+    law = TwoSidedExponential(rate_pos=1.5, rate_neg=2.0, p_pos=0.0)
+    m = LevyModel(drift=-1.0, gaussian=1.0,
+                  jumps=(CompoundPoisson(1.0, law),))
+    theta = cramer_root(m).theta
+    assert theta == pytest.approx(math.sqrt(6.0), abs=1e-9)
+    tilted = esscher(m, theta)
+    assert tilted.jumps[0].law.rate_pos == 1.5
+    for lam in [-1.0, 0.0, 1.0]:
+        assert tilted.psi(lam) == pytest.approx(m.psi(lam + theta), abs=1e-9)
 
 
 def test_tempered_power_killing_for_root():
@@ -170,7 +210,8 @@ def test_jump_law_reflection():
     law = TwoSidedExponential(2.0, 1.0, 0.25)
     r = law.reflected()
     assert (r.rate_pos, r.rate_neg, r.p_pos) == (1.0, 2.0, 0.75)
-    assert r.mean() == pytest.approx(-law.mean())
+    for lam in [-1.5, -0.3, 0.0, 0.4, 0.9]:
+        assert r.mgf(lam) == pytest.approx(law.mgf(-lam), rel=1e-15)
 
 
 def test_model_dict_round_trip():
@@ -240,3 +281,118 @@ def test_jump_sampler_laws():
     y = TwoSidedExponential(2.0, 1.0, 0.5).sample(rng, 5000)
     frac_up = (y > 0).mean()
     assert abs(frac_up - 0.5) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# properties on random valid models mixing all four jump laws
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+_rate = st.floats(0.2, 5.0)
+_sign = st.sampled_from([1, -1])
+_law = st.one_of(
+    st.builds(Exponential, _rate, _sign),
+    st.builds(TwoSidedExponential, _rate, _rate,
+              st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+    st.builds(PointMass, st.floats(-3.0, 3.0)),
+)
+_jump = st.one_of(
+    st.builds(CompoundPoisson, st.floats(0.1, 3.0), _law),
+    st.builds(TemperedPower, st.floats(0.2, 3.0), st.floats(0.1, 0.9),
+              st.floats(0.01, 0.5), _sign),
+)
+
+
+@st.composite
+def levy_models(draw, killed=False):
+    return LevyModel(
+        drift=draw(st.floats(-3.0, 3.0)),
+        gaussian=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
+        jumps=tuple(draw(st.lists(_jump, max_size=3))),
+        killing=draw(st.floats(0.01, 1.0) if killed else st.floats(0.0, 1.0)),
+        alpha=draw(st.floats(0.25, 3.0)),
+    )
+
+
+@st.composite
+def boundary_root_models(draw):
+    """A killed model with an upward tempered power whose q is the domain
+    edge, killed at the rate that puts the Cramer root exactly at q."""
+    base = draw(levy_models())
+    q = draw(st.floats(0.2, 3.0))
+    tp = TemperedPower(q, draw(st.floats(0.1, 0.9)), draw(st.floats(0.01, 0.5)))
+    jumps = tuple(j for j in base.jumps if j.domain_sup > q) + (tp,)
+    free = LevyModel(drift=base.drift, gaussian=base.gaussian, jumps=jumps,
+                     alpha=base.alpha)
+    kappa = free.psi(q)
+    if not kappa > 0:  # psi(q) <= 0 without killing: no root at the edge
+        return base
+    return LevyModel(drift=base.drift, gaussian=base.gaussian, jumps=jumps,
+                     killing=kappa, alpha=base.alpha)
+
+
+def _condition4_rule(model, theta):
+    """psi'(theta) < inf, per law: theta below the rate of every upward
+    exponential and the q of every upward tempered power."""
+    for j in model.jumps:
+        if isinstance(j, TemperedPower):
+            ok = j.sign < 0 or theta < j.q
+        elif isinstance(j.law, Exponential):
+            ok = j.law.sign < 0 or theta < j.law.rate
+        elif isinstance(j.law, TwoSidedExponential):
+            ok = j.law.p_pos == 0 or theta < j.law.rate_pos
+        else:
+            ok = True
+        if not ok:
+            return False
+    return True
+
+
+@PROPERTY
+@given(levy_models(), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+def test_property_psi_is_convex(m, a, b):
+    mid = m.psi(0.5 * (a + b))
+    chord = 0.5 * (m.psi(a) + m.psi(b))  # +inf outside the domain
+    assert mid <= chord + 1e-8 * (1.0 + abs(mid))
+
+
+@PROPERTY
+@given(levy_models(), st.floats(-4.0, 4.0))
+def test_property_dual_is_an_involution(m, lam):
+    back = dual(dual(m))
+    assert (back.drift, back.gaussian, back.killing, back.alpha) == \
+        (m.drift, m.gaussian, m.killing, m.alpha)
+    # two-sided laws store 1 - (1 - p_pos), which can round in the last bit
+    assert back.psi(lam) == pytest.approx(m.psi(lam), rel=1e-12, abs=1e-12)
+    assert dual(m).psi(lam) == pytest.approx(m.psi(-lam), rel=1e-12,
+                                             abs=1e-12)
+
+
+@PROPERTY
+@given(levy_models())
+def test_property_json_round_trip(m):
+    assert model_from_dict(json.loads(json.dumps(model_to_dict(m)))) == m
+
+
+@PROPERTY
+@given(st.one_of(levy_models(killed=True), boundary_root_models()))
+def test_property_cramer_root_and_esscher(m):
+    rep = cramer_root(m)
+    sup = m.domain_sup
+    if rep.theta is None:
+        # psi stays negative on (0, sup E)
+        for lam in ([0.5 * sup, 0.9 * sup] if math.isfinite(sup)
+                    else [1.0, 10.0]):
+            assert m.psi(lam) <= 0.0
+        return
+    assert abs(m.psi(rep.theta)) <= 1e-9
+    assert rep.condition4_finite == _condition4_rule(m, rep.theta)
+    assert rep.condition4_finite == math.isfinite(rep.psi_prime_at_theta)
+    t = esscher(m, rep.theta)
+    assert t.killing == 0.0
+    for lam in (-rep.theta, -0.5 * rep.theta, 0.0,
+                0.5 * (sup - rep.theta) if math.isfinite(sup) else 1.0):
+        want = m.psi(lam + rep.theta)
+        assert t.psi(lam) == pytest.approx(want, rel=1e-9, abs=1e-8)

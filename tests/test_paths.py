@@ -73,9 +73,12 @@ def test_increment_batch_drift_only_is_exact():
 def test_increment_batch_killing_rate():
     m = catalog.brownian()  # kappa = 1/8
     cfg = SimConfig(dt=0.01, horizon=10.0, seed=0)
-    _, killed = sample_increment_batch(m, 2.0, 20000, cfg)
+    v, killed = sample_increment_batch(m, 2.0, 20000, cfg)
     expect = 1.0 - math.exp(-0.125 * 2.0)
     assert killed.mean() == pytest.approx(expect, abs=0.01)
+    # xi_2 ~ N(0, 2): mean and variance within 4 SE
+    assert abs(v.mean()) < 4.0 * math.sqrt(2.0 / v.size)
+    assert abs(v.var(ddof=1) - 2.0) < 4.0 * 2.0 * math.sqrt(2.0 / (v.size - 1))
 
 
 def test_increment_batch_matches_laplace_exponent():
