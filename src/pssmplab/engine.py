@@ -29,7 +29,7 @@ from .models import LevyModel
 from .paths import SimConfig
 
 __all__ = ["FunctionalBatch", "MarginalBatch", "functional_batch",
-           "marginal_batch", "segment_exp_integral"]
+           "marginal_batch"]
 
 # path status codes
 KILLED = 1     # reached zeta; A is the full integral up to killing
@@ -52,16 +52,6 @@ class FunctionalBatch:
 class MarginalBatch:
     xi: np.ndarray          # xi at the crossing time (valid where hit)
     status: np.ndarray      # HIT / KILLED / CENSORED per path
-
-
-def segment_exp_integral(x0, inc, gap, inv_alpha, sign=1.0):
-    """Exact integral of e^{sign*xi/alpha} over one linear segment."""
-    u = sign * inv_alpha * np.asarray(x0, dtype=float)
-    d = sign * inv_alpha * np.asarray(inc, dtype=float)
-    phi = np.ones_like(d)
-    nz = d != 0.0
-    phi[nz] = np.expm1(d[nz]) / d[nz]
-    return gap * np.exp(u) * phi
 
 
 def _draw_jump_sizes(specs, rates, total_rate, rng, k):

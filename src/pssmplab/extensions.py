@@ -27,7 +27,7 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 from scipy import special
 
-from .engine import functional_batch, segment_exp_integral
+from .engine import functional_batch
 from .errors import ConfigRejected, NoCramerRoot
 from .expfun import sample_J_batch
 from .lamperti import PssmpPath, levy_to_pssmp
@@ -98,12 +98,14 @@ class ExtensionConfig:
     def __post_init__(self):
         if self.mode not in ("jump_in", "continuous"):
             raise ValueError("mode must be 'jump_in' or 'continuous'")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be > 0")
+        for name in ("epsilon", "horizon"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
         if self.mode == "jump_in" and self.beta is None:
             raise ValueError("jump_in mode requires beta")
+        if self.beta is not None and not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
 
 
 @dataclass
@@ -148,8 +150,9 @@ def extension_gamma(model: LevyModel, cfg: ExtensionConfig) -> float:
 def sample_jump_in_restart(beta: float, epsilon: float,
                            rng: np.random.Generator) -> float:
     """One draw from eta_beta restricted to (epsilon, inf), by inverse CDF."""
-    if beta <= 0 or epsilon <= 0:
-        raise ValueError("beta and epsilon must be > 0")
+    for name, v in (("beta", beta), ("epsilon", epsilon)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
     return epsilon * rng.random() ** (-1.0 / beta)
 
 
@@ -195,16 +198,26 @@ def occupation_histogram(paths, bins: np.ndarray):
     """Time-weighted histogram of path values (occupation measure density).
 
     ``paths`` iterates PssmpPath or ExtensionPath objects; each segment
-    contributes its duration at its left-end value.
+    contributes its duration at its left-end value.  Bins are half-open
+    [b_i, b_{i+1}) but the last, which includes its right edge, as in
+    np.histogram; values outside [bins[0], bins[-1]] are dropped.
     """
     bins = np.asarray(bins, dtype=float)
-    counts = np.zeros(bins.size - 1)
+    nb = bins.size - 1
+    counts = np.zeros(nb)
     total = 0.0
+    # one path at a time: all paths at once would hold every path's
+    # segments in memory
     for p in paths:
-        w = np.diff(p.times)
-        h, _ = np.histogram(p.values[:-1], bins=bins, weights=w)
-        counts += h
+        w = p.times[1:] - p.times[:-1]
+        v = p.values[:-1]
+        # slot i + 1 is bin i; 0 is below the range and nb + 1 above it
+        slot = np.searchsorted(bins, v, side="right")
+        slot[v == bins[-1]] = nb
+        counts += np.bincount(slot, weights=w, minlength=nb + 2)[1:nb + 1]
         total += w.sum()
+    if not total > 0:
+        raise ValueError("paths have zero total duration")
     density = counts / (total * np.diff(bins))
     centers = 0.5 * (bins[:-1] + bins[1:])
     return centers, density

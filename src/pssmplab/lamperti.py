@@ -19,12 +19,13 @@ horizon.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .engine import HIT, functional_batch, marginal_batch, segment_exp_integral
+from .engine import HIT, functional_batch, marginal_batch
 from .errors import HorizonTooShort, StartsAtZero
 from .models import LevyModel
 from .paths import LevyPath, SimConfig
@@ -62,18 +63,33 @@ class PssmpPath:
         })
 
 
+def _check_positive(name: str, v: float) -> None:
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+
+
+def segment_exp_integral(x0, inc, gap, inv_alpha):
+    """Exact integral of e^{xi/alpha} over linear segments of xi: from x0,
+    rising by inc over gap."""
+    u = inv_alpha * np.asarray(x0, dtype=float)
+    d = inv_alpha * np.asarray(inc, dtype=float)
+    # (e^d - 1)/d, with its limit 1 at d = 0
+    phi = np.divide(np.expm1(d), d, out=np.ones_like(d), where=d != 0.0)
+    return gap * np.exp(u) * phi
+
+
 def _clock_increments(path: LevyPath, alpha: float) -> np.ndarray:
-    left = path.left_limits()
-    gaps = np.diff(path.times)
-    return segment_exp_integral(path.values[:-1], left[1:] - path.values[:-1],
-                                gaps, 1.0 / alpha)
+    start = path.values[:-1]
+    gaps = path.times[1:] - path.times[:-1]
+    return segment_exp_integral(start, path.left_limits()[1:] - start, gaps,
+                                1.0 / alpha)
 
 
 def levy_to_pssmp(path: LevyPath, x0: float, alpha: float,
                   allow_truncated: bool = False) -> PssmpPath:
     """Map a Levy path to the self-similar path started at x0."""
-    if x0 <= 0:
-        raise ValueError("x0 must be > 0")
+    _check_positive("x0", x0)
+    _check_positive("alpha", alpha)
     segs = _clock_increments(path, alpha)
     clock = np.concatenate(([0.0], np.cumsum(segs)))
     scale = x0 ** (1.0 / alpha)
@@ -133,8 +149,7 @@ def hitting_time_samples(model: LevyModel, x0: float, n: int,
     randomness.  Returns (values, censored); censored draws carry the clock
     value reached at the horizon, a lower bound for t0.
     """
-    if x0 <= 0:
-        raise ValueError("x0 must be > 0")
+    _check_positive("x0", x0)
     batch = functional_batch(model, 1.0, n, config.rng(), config)
     return x0 ** (1.0 / model.alpha) * batch.values, batch.censored
 
@@ -143,8 +158,9 @@ def pssmp_marginal(model: LevyModel, x0: float, t: float, n: int,
                    config: SimConfig,
                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """n draws of X_t under P_{x0}; 0 where the path was absorbed before t."""
-    if x0 <= 0:
-        raise ValueError("x0 must be > 0")
+    _check_positive("x0", x0)
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     if rng is None:
         rng = config.rng()
     target = t * x0 ** (-1.0 / model.alpha)

@@ -70,10 +70,7 @@ class LevyPath:
 
     def left_limits(self) -> np.ndarray:
         """Value of xi just before each grid time."""
-        out = self.values.copy()
-        mask = ~np.isnan(self.pre_jump)
-        out[mask] = self.pre_jump[mask]
-        return out
+        return np.where(np.isnan(self.pre_jump), self.values, self.pre_jump)
 
     def to_json_record(self) -> str:
         return json.dumps({
@@ -81,6 +78,27 @@ class LevyPath:
             "x": self.values.tolist(),
             "zeta": self.zeta,
         })
+
+
+def _merge_jumps(grid, jt, js):
+    """Insert the sorted jump epochs jt (sizes js) into the sorted grid.
+
+    Epochs on a grid point or on an earlier epoch (measure-zero collisions)
+    are dropped.  Returns the merged times, the jump mask and the jump size
+    at each time (0 off the jumps).
+    """
+    pos = np.searchsorted(grid, jt)  # jt <= grid[-1], so pos < grid.size
+    keep = grid[pos] != jt
+    keep[1:] &= np.diff(jt) > 0
+    at = pos[keep] + np.arange(int(keep.sum()))
+    is_jump = np.zeros(grid.size + at.size, bool)
+    is_jump[at] = True
+    times = np.empty(is_jump.size)
+    times[at] = jt[keep]
+    times[~is_jump] = grid
+    sizes = np.zeros(is_jump.size)
+    sizes[at] = js[keep]
+    return times, is_jump, sizes
 
 
 def sample_levy_path(model: LevyModel, config: SimConfig,
@@ -107,41 +125,35 @@ def sample_levy_path(model: LevyModel, config: SimConfig,
         jump_times.append(times)
         jump_sizes.append(sizes)
 
+    # k * dt below t_end, then t_end: sorted and distinct, no sort needed
     n_grid = int(math.ceil(t_end / config.dt))
-    grid = np.unique(np.minimum(np.arange(n_grid + 1) * config.dt, t_end))
-    if grid[-1] < t_end:
-        grid = np.append(grid, t_end)
+    grid = np.arange(n_grid + 2, dtype=float)
+    grid *= config.dt
+    n_below = int(np.searchsorted(grid[:n_grid + 1], t_end))
+    grid[n_below] = t_end
+    grid = grid[:n_below + 1]
 
-    if jump_times:
-        jt = np.concatenate(jump_times)
+    jt = np.concatenate(jump_times) if jump_times else np.empty(0)
+    if jt.size:
         js = np.concatenate(jump_sizes)
         order = np.argsort(jt, kind="stable")
         jt, js = jt[order], js[order]
-        # drop (measure-zero) collisions with grid points or with each other
-        keep = ~np.isin(jt, grid)
-        if jt.size > 1:
-            keep &= np.concatenate(([True], np.diff(jt) > 0))
-        jt, js = jt[keep], js[keep]
+        times, is_jump, sizes = _merge_jumps(grid, jt, js)
     else:
-        jt = np.empty(0)
-        js = np.empty(0)
+        times = grid
 
-    times = np.concatenate((grid, jt))
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    is_jump = np.concatenate((np.zeros(grid.size, bool), np.ones(jt.size, bool)))[order]
-    sizes = np.zeros(times.size)
-    sizes[is_jump] = js
-
-    gaps = np.diff(times)
+    gaps = times[1:] - times[:-1]  # np.diff, without its call overhead
     incs = model.drift * gaps
     if model.gaussian > 0:
         incs = incs + math.sqrt(model.gaussian) * np.sqrt(gaps) * \
             rng.standard_normal(gaps.size)
-    left = np.concatenate(([0.0], np.cumsum(incs + sizes[1:]) - sizes[1:]))
-    values = left + sizes
     pre_jump = np.full(times.size, np.nan)
-    pre_jump[is_jump] = left[is_jump]
+    if jt.size:
+        left = np.concatenate(([0.0], np.cumsum(incs + sizes[1:]) - sizes[1:]))
+        values = left + sizes
+        pre_jump[is_jump] = left[is_jump]
+    else:
+        values = np.concatenate(([0.0], np.cumsum(incs)))
 
     return LevyPath(times=times, values=values, pre_jump=pre_jump,
                     zeta=zeta if killed else None, truncated=truncated)

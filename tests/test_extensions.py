@@ -1,5 +1,7 @@
 """Recurrent extensions: gates, restart law, gluing, entrance law."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -48,6 +50,18 @@ def test_extension_config_validation():
         ExtensionConfig(mode="continuous", epsilon=0.0, horizon=1.0)
     with pytest.raises(ValueError):
         ExtensionConfig(mode="jump_in", epsilon=0.1, horizon=1.0)  # no beta
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            ExtensionConfig(mode="continuous", epsilon=bad, horizon=1.0)
+        with pytest.raises(ValueError, match="horizon"):
+            ExtensionConfig(mode="continuous", epsilon=0.1, horizon=bad)
+        with pytest.raises(ValueError, match="beta"):
+            ExtensionConfig(mode="jump_in", epsilon=0.1, horizon=1.0,
+                            beta=bad)
+        with pytest.raises(ValueError, match="beta"):
+            sample_jump_in_restart(bad, 0.01, stream_rng(0, 0))
+        with pytest.raises(ValueError, match="epsilon"):
+            sample_jump_in_restart(0.25, bad, stream_rng(0, 0))
 
 
 def test_extension_gates():
@@ -109,6 +123,42 @@ def test_occupation_histogram_synthetic():
     np.testing.assert_allclose(centers, [0.5, 1.5])
     np.testing.assert_allclose(density, [0.75, 0.25])
     assert np.sum(density * np.diff(bins)) == pytest.approx(1.0)
+
+
+def test_occupation_histogram_edges_match_np_histogram():
+    # values on interior edges (counted in the bin to their right), on the
+    # last edge (counted in the last bin) and outside the range (dropped);
+    # the appended last value of each path carries no duration
+    bins = np.array([0.1, 0.2, 0.4, 0.8, 1.6])
+    rng = np.random.default_rng(4)
+    paths = []
+    for k in range(5):
+        v = rng.permutation(np.concatenate(
+            ([0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0],
+             rng.uniform(0.0, 2.0, 20 + k))))
+        v = np.append(v, 0.5)
+        t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 1.0, v.size - 1))))
+        paths.append(PssmpPath(times=t, values=v, t0=None, x0=v[0],
+                               alpha=1.0, truncated=True))
+    counts = np.zeros(bins.size - 1)
+    total = 0.0
+    for p in paths:
+        counts += np.histogram(p.values[:-1], bins=bins,
+                               weights=np.diff(p.times))[0]
+        total += p.times[-1]
+    centers, density = occupation_histogram(paths, bins)
+    np.testing.assert_allclose(density, counts / (total * np.diff(bins)),
+                               rtol=1e-12)
+    np.testing.assert_allclose(centers, 0.5 * (bins[:-1] + bins[1:]))
+
+
+def test_occupation_histogram_rejects_zero_duration():
+    p = PssmpPath(times=np.array([0.0]), values=np.array([0.5]),
+                  t0=None, x0=0.5, alpha=1.0, truncated=True)
+    with pytest.raises(ValueError, match="duration"):
+        occupation_histogram([p], np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="duration"):
+        occupation_histogram([], np.array([0.0, 1.0]))
 
 
 def test_entrance_law_mass_brownian():

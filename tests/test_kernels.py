@@ -10,7 +10,8 @@ from scipy import integrate
 
 from pssmplab import catalog
 from pssmplab._kernels import _py
-from pssmplab.engine import HIT, KILLED, marginal_batch, segment_exp_integral
+from pssmplab.engine import HIT, KILLED, marginal_batch
+from pssmplab.lamperti import segment_exp_integral
 from pssmplab.paths import SimConfig
 
 
@@ -207,8 +208,10 @@ def test_segment_exp_integral_matches_quadrature():
         gap = rng.uniform(0.01, 2.0)
         ia = rng.uniform(0.3, 3.0)
         sign = rng.choice([-1.0, 1.0])
-        val = segment_exp_integral(np.array([x0]), np.array([inc]),
-                                   np.array([gap]), ia, sign)[0]
+        # the integral of e^{-xi/alpha} is that of e^{xi/alpha} along -xi
+        val = segment_exp_integral(np.array([sign * x0]),
+                                   np.array([sign * inc]),
+                                   np.array([gap]), ia)[0]
         ref, _ = integrate.quad(
             lambda s: math.exp(sign * ia * (x0 + inc * s / gap)), 0.0, gap)
         assert val == pytest.approx(ref, rel=1e-10)

@@ -1,5 +1,7 @@
 """Lamperti time change: forward map, inverse map, hitting times, marginals."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from pssmplab.lamperti import (
     pssmp_marginal,
     pssmp_to_levy,
 )
-from pssmplab.models import LevyModel
-from pssmplab.paths import SimConfig, sample_levy_path
+from pssmplab.models import CompoundPoisson, Exponential, LevyModel
+from pssmplab.paths import LevyPath, SimConfig, _merge_jumps, sample_levy_path
 
 
 def test_pure_drift_forward_map_is_linear_decay():
@@ -88,8 +90,14 @@ def test_horizon_too_short_for_upward_drift():
 def test_forward_map_rejects_nonpositive_x0():
     cfg = SimConfig(dt=0.01, horizon=5.0, seed=0)
     path = sample_levy_path(catalog.pure_drift(), cfg)
-    with pytest.raises(ValueError):
-        levy_to_pssmp(path, 0.0, 1.0)
+    for x0 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="x0"):
+            levy_to_pssmp(path, x0, 1.0)
+        with pytest.raises(ValueError, match="x0"):
+            hitting_time_samples(catalog.two_sided(), x0, 5, cfg)
+    for alpha in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            levy_to_pssmp(path, 1.0, alpha)
 
 
 def test_inverse_map_rejects_start_at_zero():
@@ -119,8 +127,12 @@ def test_pssmp_marginal_brownian():
     absorbed = (x == 0).mean()
     assert 0.0 < absorbed < 0.5
     assert x[x > 0].mean() > 0.5  # survivors stay of order the start point
-    with pytest.raises(ValueError):
-        pssmp_marginal(catalog.brownian(), 0.0, 0.5, 10, cfg)
+    for x0 in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="x0"):
+            pssmp_marginal(catalog.brownian(), x0, 0.5, 10, cfg)
+    for t in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must"):
+            pssmp_marginal(catalog.brownian(), 1.0, t, 10, cfg)
 
 
 def test_pssmp_path_json_record():
@@ -129,3 +141,118 @@ def test_pssmp_path_json_record():
     ps = levy_to_pssmp(path, 1.0, 1.0)
     rec = ps.to_json_record()
     assert '"t0"' in rec and '"x0"' in rec
+
+
+# ---------------------------------------------------------------------------
+# bit-identity of the sampler and the map with a straightforward reference:
+# a sorted unique grid, a stable full sort of grid and jump epochs, masked
+# left limits and a masked (e^d - 1)/d
+
+
+def _reference_sample_levy_path(model, config, rng):
+    zeta = rng.exponential(1.0 / model.killing) if model.killing > 0 \
+        else math.inf
+    t_end = min(config.horizon, zeta)
+    killed = zeta <= config.horizon
+    jump_times, jump_sizes = [], []
+    for spec in model.jumps:
+        count = rng.poisson(spec.intensity * t_end)
+        jump_times.append(np.sort(rng.random(count) * t_end))
+        jump_sizes.append(spec.sample_sizes(rng, count))
+    n_grid = int(math.ceil(t_end / config.dt))
+    grid = np.unique(np.minimum(np.arange(n_grid + 1) * config.dt, t_end))
+    if grid[-1] < t_end:
+        grid = np.append(grid, t_end)
+    if jump_times:
+        jt = np.concatenate(jump_times)
+        js = np.concatenate(jump_sizes)
+        order = np.argsort(jt, kind="stable")
+        jt, js = jt[order], js[order]
+        keep = ~np.isin(jt, grid)
+        if jt.size > 1:
+            keep &= np.concatenate(([True], np.diff(jt) > 0))
+        jt, js = jt[keep], js[keep]
+    else:
+        jt, js = np.empty(0), np.empty(0)
+    times = np.concatenate((grid, jt))
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    is_jump = np.concatenate((np.zeros(grid.size, bool),
+                              np.ones(jt.size, bool)))[order]
+    sizes = np.zeros(times.size)
+    sizes[is_jump] = js
+    gaps = np.diff(times)
+    incs = model.drift * gaps
+    if model.gaussian > 0:
+        incs = incs + math.sqrt(model.gaussian) * np.sqrt(gaps) * \
+            rng.standard_normal(gaps.size)
+    left = np.concatenate(([0.0], np.cumsum(incs + sizes[1:]) - sizes[1:]))
+    values = left + sizes
+    pre_jump = np.full(times.size, np.nan)
+    pre_jump[is_jump] = left[is_jump]
+    return LevyPath(times=times, values=values, pre_jump=pre_jump,
+                    zeta=zeta if killed else None, truncated=not killed)
+
+
+def _reference_clock_increments(path, alpha):
+    left = path.values.copy()
+    mask = ~np.isnan(path.pre_jump)
+    left[mask] = path.pre_jump[mask]
+    x0 = path.values[:-1]
+    u = (1.0 / alpha) * x0
+    d = (1.0 / alpha) * (left[1:] - x0)
+    phi = np.ones_like(d)
+    nz = d != 0.0
+    phi[nz] = np.expm1(d[nz]) / d[nz]
+    return np.diff(path.times) * np.exp(u) * phi
+
+
+def _mixed_model():
+    return LevyModel(drift=0.0, gaussian=1.0,
+                     jumps=(CompoundPoisson(rate=0.5,
+                                            law=Exponential(rate=2.0,
+                                                            sign=-1)),),
+                     killing=0.125, alpha=1.0)
+
+
+@pytest.mark.parametrize("name, model, horizon", [
+    ("brownian", catalog.brownian(), 400.0),
+    ("two_sided", catalog.two_sided(), 400.0),
+    ("pure_drift truncated", catalog.pure_drift(), 5.0),
+    ("pure_drift convergent", catalog.pure_drift(), 40.0),
+    ("brownian + Exp(2) jumps", _mixed_model(), 400.0),
+    ("boundary_root", catalog.boundary_root(1.0, 0.75, 0.01), 400.0),
+])
+def test_sampler_and_map_match_reference_bit_for_bit(name, model, horizon):
+    cfg = SimConfig(dt=0.01, horizon=horizon, seed=11)
+    rng, ref_rng = cfg.rng(), cfg.rng()
+    for _ in range(8):
+        p = sample_levy_path(model, cfg, rng=rng)
+        r = _reference_sample_levy_path(model, cfg, ref_rng)
+        assert np.array_equal(p.times, r.times)
+        assert np.array_equal(p.values, r.values)
+        assert np.array_equal(p.pre_jump, r.pre_jump, equal_nan=True)
+        assert p.zeta == r.zeta and p.truncated == r.truncated
+        ps = levy_to_pssmp(p, 2.0, model.alpha, allow_truncated=True)
+        clock = np.concatenate(
+            ([0.0], np.cumsum(_reference_clock_increments(r, model.alpha))))
+        scale = 2.0 ** (1.0 / model.alpha)
+        assert np.array_equal(ps.times, scale * clock)
+        assert np.array_equal(ps.values, 2.0 * np.exp(r.values))
+        if r.zeta is not None:
+            assert ps.t0 == scale * clock[-1]
+    # both streams are at the same place
+    assert rng.random() == ref_rng.random()
+
+
+def test_merge_jumps_drops_collisions():
+    grid = np.array([0.0, 0.5, 1.0, 1.5, 1.75])
+    jt = np.array([0.0, 0.25, 0.25, 0.5, 0.75, 1.6, 1.75])
+    js = np.arange(1.0, 8.0)
+    times, is_jump, sizes = _merge_jumps(grid, jt, js)
+    # epochs on a grid point, and a repeated epoch after its first, are gone
+    np.testing.assert_array_equal(
+        times, [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 1.6, 1.75])
+    np.testing.assert_array_equal(
+        is_jump, [False, True, False, True, False, False, True, False])
+    np.testing.assert_array_equal(sizes, [0, 2.0, 0, 5.0, 0, 0, 6.0, 0])
