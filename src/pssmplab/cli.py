@@ -21,6 +21,7 @@ from scipy import special
 from . import catalog, extensions, verify
 from .errors import LabError, ModelFileError
 from .expfun import (
+    CheckReport,
     dual_identity_check,
     negative_moment_check,
     recursion_check,
@@ -95,6 +96,22 @@ def _suite_model(check: dict) -> LevyModel:
     raise ModelFileError("check needs 'model' or 'model_file'")
 
 
+# ops read as one CheckReport z-score against z_max: op -> (model, check
+# spec, n, config) -> CheckReport.  The lambdas look each check up when
+# called, so a wrapped module attribute is seen.
+_Z_CHECKS = {
+    "recursion": lambda model, check, n, cfg: recursion_check(
+        model, float(check["beta"]), n, cfg),
+    "dual_identity": lambda model, check, n, cfg: dual_identity_check(
+        model, n, cfg),
+    "negative_moment": lambda model, check, n, cfg: negative_moment_check(
+        model, n, cfg),
+    "resolvent": lambda model, check, n, cfg: extensions.resolvent_crosscheck(
+        model, float(check.get("lambda", 1.0)),
+        check.get("f", {"kind": "bump", "a": 0.5, "b": 1.5}), n, cfg),
+}
+
+
 def _run_check(check: dict, seed: int, stream_base: int) -> dict:
     op = check.get("op")
     n = int(check.get("n", 20000))
@@ -104,19 +121,8 @@ def _run_check(check: dict, seed: int, stream_base: int) -> dict:
                     seed=seed, stream_id=stream_base)
     out = {"op": op}
     try:
-        if op == "recursion":
-            model = _suite_model(check)
-            rep = recursion_check(model, float(check["beta"]), n, cfg)
-            out.update(rep.to_json())
-            out["pass"] = rep.z_score < z_max
-        elif op == "dual_identity":
-            model = _suite_model(check)
-            rep = dual_identity_check(model, n, cfg)
-            out.update(rep.to_json())
-            out["pass"] = rep.z_score < z_max
-        elif op == "negative_moment":
-            model = _suite_model(check)
-            rep = negative_moment_check(model, n, cfg)
+        if op in _Z_CHECKS:
+            rep = _Z_CHECKS[op](_suite_model(check), check, n, cfg)
             out.update(rep.to_json())
             out["pass"] = rep.z_score < z_max
         elif op == "entrance_law":
@@ -126,7 +132,8 @@ def _run_check(check: dict, seed: int, stream_base: int) -> dict:
             rep = cramer_root(model)
             expect = t ** (-rep.alpha_theta) / special.gamma(
                 1.0 - rep.alpha_theta)
-            z = abs(est.value - expect) / est.std_err
+            z = CheckReport(lhs=est.value, rhs=expect, std_err=est.std_err,
+                            n=n, censored=est.censored).z_score
             out.update({"value": est.value, "expected": expect,
                         "se": est.std_err, "z": z, "pass": bool(z < z_max)})
         elif op == "normalization":
@@ -135,13 +142,6 @@ def _run_check(check: dict, seed: int, stream_base: int) -> dict:
             tol = float(check.get("rel_tol", 0.05))
             out.update(rep)
             out["pass"] = abs(rep["value"] - 1.0) < tol
-        elif op == "resolvent":
-            model = _suite_model(check)
-            f = check.get("f", {"kind": "bump", "a": 0.5, "b": 1.5})
-            rep = extensions.resolvent_crosscheck(
-                model, float(check.get("lambda", 1.0)), f, n, cfg)
-            out.update(rep)
-            out["pass"] = rep["z"] < z_max
         elif op == "scaling":
             model = _suite_model(check)
             seeds = int(check.get("seeds", 20))
@@ -214,22 +214,16 @@ def simulate(model: LevyModel, kind: str, args, out_path: str) -> List[str]:
         cfg = SimConfig(dt=args.dt, horizon=args.horizon, seed=args.seed,
                         stream_id=i)
         if kind == "levy":
-            lines.append(sample_levy_path(model, cfg).to_json_record())
+            rec = sample_levy_path(model, cfg)
         elif kind == "pssmp":
-            path = sample_levy_path(model, cfg)
-            ps = levy_to_pssmp(path, args.x0, model.alpha,
-                               allow_truncated=True)
-            lines.append(ps.to_json_record())
+            rec = levy_to_pssmp(sample_levy_path(model, cfg), args.x0,
+                                model.alpha, allow_truncated=True)
         else:
             ecfg = extensions.ExtensionConfig(
                 mode=args.mode, epsilon=args.epsilon,
                 horizon=args.ext_horizon, beta=args.beta)
-            ep = extensions.simulate_extension(model, ecfg, cfg)
-            lines.append(json.dumps({
-                "t": ep.times.tolist(), "x": ep.values.tolist(),
-                "restarts": [[t, x] for t, x in ep.restarts],
-                "zero_hits": ep.zero_hits, "epsilon": ep.epsilon_used,
-            }))
+            rec = extensions.simulate_extension(model, ecfg, cfg)
+        lines.append(rec.to_json_record())
     with open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return lines

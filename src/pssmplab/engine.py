@@ -29,7 +29,11 @@ from .models import LevyModel
 from .paths import SimConfig
 
 __all__ = ["FunctionalBatch", "MarginalBatch", "functional_batch",
-           "marginal_batch"]
+           "marginal_batch", "REL_TOL"]
+
+# a conservative path has converged once the part of A added since the last
+# reading is below REL_TOL of the running total
+REL_TOL = 1e-6
 
 # path status codes
 KILLED = 1     # reached zeta; A is the full integral up to killing
@@ -141,7 +145,7 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
 
 def functional_batch(model: LevyModel, sign: float, n: int,
                      rng: np.random.Generator, config: SimConfig,
-                     rel_tol: float = 1e-6) -> FunctionalBatch:
+                     rel_tol: float = REL_TOL) -> FunctionalBatch:
     """n draws of integral_0^stop e^{sign*xi/alpha}; censored marks paths
     that hit the horizon before killing or convergence."""
     a, _, status = _run(model, sign, n, rng, config.dt, config.horizon,

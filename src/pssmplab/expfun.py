@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .engine import functional_batch
+from .engine import REL_TOL, functional_batch
 from .errors import (
     DerivativeInfinite,
     HorizonTooShort,
@@ -28,12 +28,13 @@ from .errors import (
     ModelDoesNotHitZero,
     NoCramerRoot,
     NotDriftingUp,
+    TooFewSamples,
 )
 from .models import LevyModel, cramer_root, dual, esscher
 from .paths import SimConfig
 
 __all__ = ["ExpFunEstimate", "CheckReport", "sample_I", "sample_I_batch",
-           "sample_J_batch", "moment", "recursion_check",
+           "sample_J_batch", "mean_se", "moment", "recursion_check",
            "dual_identity_check", "negative_moment_check"]
 
 NEAR_CRITICAL_PSI = 0.02
@@ -54,12 +55,19 @@ class ExpFunEstimate:
 
 @dataclass
 class CheckReport:
+    """lhs against rhs, read as z = |lhs - rhs| / se (0 where se is 0: both
+    sides are exact)."""
+
     lhs: float
     rhs: float
     std_err: float
-    z_score: float
+    z_score: float = field(init=False)
     n: int
     censored: int
+
+    def __post_init__(self):
+        self.z_score = abs(self.lhs - self.rhs) / self.std_err \
+            if self.std_err > 0 else 0.0
 
     def to_json(self) -> dict:
         return {"lhs": self.lhs, "rhs": self.rhs, "se": self.std_err,
@@ -74,7 +82,7 @@ def _require_hits_zero(model: LevyModel):
 
 def sample_I_batch(model: LevyModel, n: int, config: SimConfig,
                    rng: Optional[np.random.Generator] = None,
-                   rel_tol: float = 1e-6):
+                   rel_tol: float = REL_TOL):
     """n draws of I; returns (values, censored mask)."""
     _require_hits_zero(model)
     if rng is None:
@@ -85,7 +93,7 @@ def sample_I_batch(model: LevyModel, n: int, config: SimConfig,
 
 def sample_J_batch(tilted: LevyModel, n: int, config: SimConfig,
                    rng: Optional[np.random.Generator] = None,
-                   rel_tol: float = 1e-6):
+                   rel_tol: float = REL_TOL):
     """n draws of J under a conservative model drifting to +inf."""
     if tilted.killing > 0 or not tilted.mean() > 0:
         raise NotDriftingUp("J requires a conservative model with psi'(0) > 0")
@@ -96,7 +104,7 @@ def sample_J_batch(tilted: LevyModel, n: int, config: SimConfig,
 
 
 def sample_I(model: LevyModel, config: SimConfig,
-             rel_tol: float = 1e-6) -> float:
+             rel_tol: float = REL_TOL) -> float:
     """One draw of I; raises when the horizon decided neither way."""
     values, censored = sample_I_batch(model, 1, config, rel_tol=rel_tol)
     if censored[0]:
@@ -104,19 +112,12 @@ def sample_I(model: LevyModel, config: SimConfig,
     return float(values[0])
 
 
-def _mean_with_se(x: np.ndarray):
-    m = float(x.mean())
-    se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else math.inf
-    return m, se
-
-
-def _power_mean(values: np.ndarray, censored: np.ndarray, p: float, n: int,
-                note: str) -> ExpFunEstimate:
-    alive = values[~censored]
-    m, se = _mean_with_se(alive ** p)
-    return ExpFunEstimate(value=m, std_err=se, n=n,
-                          censored=int(censored.sum()),
-                          truncation_note=note)
+def mean_se(x: np.ndarray):
+    """Sample mean and its standard error; needs at least two draws."""
+    if x.size < 2:
+        raise TooFewSamples(
+            f"a standard error needs at least 2 draws, got {x.size}")
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
 
 
 def _check_moment_hypothesis(model: LevyModel, p: float):
@@ -149,7 +150,6 @@ def moment(model: LevyModel, p: float, n: int, config: SimConfig,
            functional: str = "I",
            rng: Optional[np.random.Generator] = None) -> ExpFunEstimate:
     """Monte Carlo E(functional^p) with the moment-existence gate for I."""
-    note = f"horizon={config.horizon}, adaptive rel_tol=1e-6"
     if functional == "I":
         _check_moment_hypothesis(model, p)
         values, censored = sample_I_batch(model, n, config, rng=rng)
@@ -157,7 +157,11 @@ def moment(model: LevyModel, p: float, n: int, config: SimConfig,
         values, censored = sample_J_batch(model, n, config, rng=rng)
     else:
         raise ValueError("functional must be 'I' or 'J'")
-    return _power_mean(values, censored, p, n, note)
+    m, se = mean_se(values[~censored] ** p)
+    return ExpFunEstimate(value=m, std_err=se, n=n,
+                          censored=int(censored.sum()),
+                          truncation_note=f"horizon={config.horizon}, "
+                                          f"adaptive rel_tol={REL_TOL:g}")
 
 
 def recursion_check(model: LevyModel, beta: float, n: int,
@@ -178,11 +182,9 @@ def recursion_check(model: LevyModel, beta: float, n: int,
     lhs = moment(model, ab, n, config, rng=config.rng())
     low = moment(model, ab - 1.0, n, config, rng=config.substream(1).rng())
     factor = ab / (-v)
-    rhs = factor * low.value
-    se = math.hypot(lhs.std_err, factor * low.std_err)
-    z = abs(lhs.value - rhs) / se if se > 0 else 0.0
-    return CheckReport(lhs=lhs.value, rhs=rhs, std_err=se, z_score=z, n=n,
-                       censored=lhs.censored + low.censored)
+    return CheckReport(lhs=lhs.value, rhs=factor * low.value,
+                       std_err=math.hypot(lhs.std_err, factor * low.std_err),
+                       n=n, censored=lhs.censored + low.censored)
 
 
 def _root_or_raise(model: LevyModel):
@@ -197,13 +199,11 @@ def dual_identity_check(model: LevyModel, n: int,
     """E_tilted(J^{alpha theta - 1}) against E(I^{alpha theta - 1})."""
     theta = _root_or_raise(model).theta
     p = model.alpha * theta - 1.0
-    tilted = esscher(model, theta)
-    jv, jc = sample_J_batch(tilted, n, config, rng=config.rng())
-    lhs = _power_mean(jv, jc, p, n, "")
+    lhs = moment(esscher(model, theta), p, n, config, functional="J",
+                 rng=config.rng())
     rhs = moment(model, p, n, config, rng=config.substream(1).rng())
-    se = math.hypot(lhs.std_err, rhs.std_err)
-    z = abs(lhs.value - rhs.value) / se if se > 0 else 0.0
-    return CheckReport(lhs=lhs.value, rhs=rhs.value, std_err=se, z_score=z,
+    return CheckReport(lhs=lhs.value, rhs=rhs.value,
+                       std_err=math.hypot(lhs.std_err, rhs.std_err),
                        n=n, censored=lhs.censored + rhs.censored)
 
 
@@ -220,10 +220,8 @@ def negative_moment_check(model: LevyModel, n: int,
         raise DerivativeInfinite(
             "psi'_-(theta) diverges (boundary root): E_tilted(J^{-1}) is "
             "infinite and the estimate grows with n instead of stabilizing")
-    tilted = esscher(model, report.theta)
-    jv, jc = sample_J_batch(tilted, n, config, rng=config.rng())
-    lhs = _power_mean(jv, jc, -1.0, n, "")
-    rhs = report.psi_prime_at_theta / model.alpha
-    z = abs(lhs.value - rhs) / lhs.std_err if lhs.std_err > 0 else 0.0
-    return CheckReport(lhs=lhs.value, rhs=rhs, std_err=lhs.std_err, z_score=z,
-                       n=n, censored=lhs.censored)
+    lhs = moment(esscher(model, report.theta), -1.0, n, config,
+                 functional="J", rng=config.rng())
+    return CheckReport(lhs=lhs.value,
+                       rhs=report.psi_prime_at_theta / model.alpha,
+                       std_err=lhs.std_err, n=n, censored=lhs.censored)

@@ -27,9 +27,15 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 from scipy import special
 
-from .engine import functional_batch
 from .errors import ConfigRejected, NoCramerRoot
-from .expfun import sample_J_batch
+from .expfun import (
+    CheckReport,
+    ExpFunEstimate,
+    mean_se,
+    moment,
+    sample_I_batch,
+    sample_J_batch,
+)
 from .lamperti import PssmpPath, levy_to_pssmp
 from .models import LevyModel, cramer_root, dual, esscher
 from .paths import SimConfig, sample_levy_path
@@ -117,11 +123,12 @@ class ExtensionPath:
     epsilon_used: float
     gamma: float
 
-    def to_json_records(self):
-        for t, x in self.restarts:
-            yield json.dumps({"event": "restart", "time": t, "value": x})
-        for t in self.zero_hits:
-            yield json.dumps({"event": "zero_hit", "time": t})
+    def to_json_record(self) -> str:
+        return json.dumps({
+            "t": self.times.tolist(), "x": self.values.tolist(),
+            "restarts": [[t, x] for t, x in self.restarts],
+            "zero_hits": self.zero_hits, "epsilon": self.epsilon_used,
+        })
 
 
 def extension_gamma(model: LevyModel, cfg: ExtensionConfig) -> float:
@@ -258,32 +265,26 @@ def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
     jv = jv[~jc]
     w = jv ** (at - 1.0)
 
-    jv2, jc2 = sample_J_batch(tilted, n, config,
-                              rng=config.substream(1).rng())
-    jv2 = jv2[~jc2]
-    den = float((jv2 ** (at - 1.0)).mean())
-    den_se = float((jv2 ** (at - 1.0)).std(ddof=1) / math.sqrt(jv2.size))
+    den = moment(tilted, at - 1.0, n, config, functional="J",
+                 rng=config.substream(1).rng())
 
     gam = special.gamma(1.0 - at)
     values = np.empty(t_grid.size)
     ses = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
-        num_samples = func(t ** alpha / jv ** alpha) * w
-        num = float(num_samples.mean())
-        num_se = float(num_samples.std(ddof=1) / math.sqrt(jv.size))
-        scale = t ** at * gam * den
+        num, num_se = mean_se(func(t ** alpha / jv ** alpha) * w)
+        scale = t ** at * gam * den.value
         v = num / scale
-        rel = math.hypot(num_se / num if num != 0 else 0.0, den_se / den)
+        rel = math.hypot(num_se / num if num != 0 else 0.0,
+                         den.std_err / den.value)
         values[i] = v
         ses[i] = abs(v) * rel if num != 0 else num_se / scale
     return EntranceCurve(t_grid=t_grid, values=values, std_errs=ses, n=n,
-                         censored=int(jc.sum() + jc2.sum()))
+                         censored=int(jc.sum()) + den.censored)
 
 
 def entrance_law(model: LevyModel, t: float, f, n: int, config: SimConfig):
     """n(f(X_t), t < T_0) as an ExpFunEstimate-style (value, se) report."""
-    from .expfun import ExpFunEstimate
-
     curve = entrance_law_curve(model, np.array([t]), f, n, config)
     return ExpFunEstimate(value=float(curve.values[0]),
                           std_err=float(curve.std_errs[0]), n=n,
@@ -325,7 +326,7 @@ def excursion_normalization_check(model: LevyModel, n: int,
 
 
 def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
-                         config: SimConfig) -> dict:
+                         config: SimConfig) -> CheckReport:
     """Resolvent of the excursion measure by two independent pipelines.
 
     lhs: time-quadrature of the entrance law, n(int_0^{T0} e^{-lam t} f(X_t) dt).
@@ -349,16 +350,10 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
 
     # --- rhs: x-quadrature over the support of f
     hat = dual(tilted)
-    rng = config.substream(2).rng()
-    batch = functional_batch(hat, 1.0, n, rng, config)
-    iv = batch.values[~batch.censored]
-
-    rng2 = config.substream(3).rng()
-    batch2 = functional_batch(hat, 1.0, n, rng2, config)
-    iv2 = batch2.values[~batch2.censored]
-    den_samples = iv2 ** (at - 1.0)
-    den = float(den_samples.mean())
-    den_se = float(den_samples.std(ddof=1) / math.sqrt(iv2.size))
+    iv, ic = sample_I_batch(hat, n, config, rng=config.substream(2).rng())
+    iv = iv[~ic]
+    iv2, ic2 = sample_I_batch(hat, n, config, rng=config.substream(3).rng())
+    den, den_se = mean_se(iv2[~ic2] ** (at - 1.0))
 
     # support of f by scanning (catalog functions have compact support)
     probe = np.geomspace(1e-4, 1e4, 4001)
@@ -373,9 +368,8 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     laplace = np.empty(x.size)
     laplace_se = np.empty(x.size)
     for i, xi in enumerate(x):
-        s = np.exp(-lam * xi ** (1.0 / alpha) * iv)
-        laplace[i] = s.mean()
-        laplace_se[i] = s.std(ddof=1) / math.sqrt(s.size)
+        laplace[i], laplace_se[i] = mean_se(
+            np.exp(-lam * xi ** (1.0 / alpha) * iv))
     shape = func(x) * x ** (1.0 / alpha - 1.0 - theta)
     integral = float(np.sum(wq * shape * laplace))
     integral_se = float(np.sum(wq * shape * laplace_se))
@@ -384,8 +378,6 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     rhs_se = abs(rhs) * math.hypot(
         integral_se / integral if integral != 0 else 0.0, den_se / den)
 
-    se = math.hypot(lhs_se, rhs_se)
-    z = float(abs(lhs - rhs) / se) if se > 0 else 0.0
-    return {"lhs": lhs, "rhs": rhs, "se": se, "z": z, "n": n,
-            "censored": int(batch.censored.sum() + batch2.censored.sum()
-                            + curve.censored)}
+    return CheckReport(lhs=lhs, rhs=rhs, std_err=math.hypot(lhs_se, rhs_se),
+                       n=n, censored=int(ic.sum() + ic2.sum())
+                       + curve.censored)

@@ -25,8 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import HIT, functional_batch, marginal_batch
+from .engine import HIT, REL_TOL, marginal_batch
 from .errors import HorizonTooShort, StartsAtZero
+from .expfun import sample_I_batch
 from .models import LevyModel
 from .paths import LevyPath, SimConfig
 
@@ -34,9 +35,8 @@ __all__ = ["PssmpPath", "levy_to_pssmp", "pssmp_to_levy",
            "hitting_time_samples", "pssmp_marginal"]
 
 # a conservative path's clock has converged when its last _TAIL_WINDOW of
-# time adds less than _TAIL_REL_TOL of the total
+# time adds less than REL_TOL of the total
 _TAIL_WINDOW = 4.0
-_TAIL_REL_TOL = 1e-6
 
 
 @dataclass
@@ -101,7 +101,7 @@ def levy_to_pssmp(path: LevyPath, x0: float, alpha: float,
                          x0=x0, alpha=alpha)
     # conservative path: the clock converges iff the tail window is negligible
     tail = segs[path.times[1:] > path.times[-1] - _TAIL_WINDOW].sum()
-    if tail < _TAIL_REL_TOL * clock[-1]:
+    if tail < REL_TOL * clock[-1]:
         return PssmpPath(times=times, values=values, t0=float(times[-1]),
                          x0=x0, alpha=alpha)
     if allow_truncated:
@@ -144,14 +144,14 @@ def hitting_time_samples(model: LevyModel, x0: float, n: int,
                          config: SimConfig):
     """n independent draws of the first hitting time of 0 under P_{x0}.
 
-    Each draw is t0 = x0^{1/alpha} * I with I from functional_batch on the
+    Each draw is t0 = x0^{1/alpha} * I with I from sample_I_batch on the
     config's stream, so the identity holds exactly across x0 on shared
     randomness.  Returns (values, censored); censored draws carry the clock
     value reached at the horizon, a lower bound for t0.
     """
     _check_positive("x0", x0)
-    batch = functional_batch(model, 1.0, n, config.rng(), config)
-    return x0 ** (1.0 / model.alpha) * batch.values, batch.censored
+    values, censored = sample_I_batch(model, n, config)
+    return x0 ** (1.0 / model.alpha) * values, censored
 
 
 def pssmp_marginal(model: LevyModel, x0: float, t: float, n: int,

@@ -113,6 +113,8 @@ def sample_levy_path(model: LevyModel, config: SimConfig,
         rng = config.rng()
     zeta = rng.exponential(1.0 / model.killing) if model.killing > 0 else math.inf
     t_end = min(config.horizon, zeta)
+    if t_end == math.inf:
+        raise ValueError("horizon must be finite on a model without killing")
     killed = zeta <= config.horizon
     truncated = not killed
 

@@ -243,6 +243,6 @@ def test_criterion_11_resolvent_crosscheck():
     rep = resolvent_crosscheck(catalog.brownian(), 1.0,
                                {"kind": "bump", "a": 0.5, "b": 1.5},
                                100000, CFG)
-    ok = rep["z"] < 4.0
-    _report(11, ok, f"lhs={rep['lhs']:.5f} rhs={rep['rhs']:.5f} "
-                    f"z={rep['z']:.2f}")
+    ok = rep.z_score < 4.0
+    _report(11, ok, f"lhs={rep.lhs:.5f} rhs={rep.rhs:.5f} "
+                    f"z={rep.z_score:.2f}")

@@ -120,14 +120,16 @@ def test_verify_records_errors_and_exits_nonzero(tmp_path):
     suite.write_text(json.dumps({"checks": [
         {"op": "no_such_op"},
         {"op": "recursion", "model": "brownian", "beta": 0.9, "n": 16},
+        {"op": "recursion", "model": "brownian", "beta": 0.25, "n": 1},
     ]}))
     out = tmp_path / "report.json"
     code = cli.main(["verify", "--suite", str(suite), "--out", str(out)])
     assert code == 1
     doc = json.loads(out.read_text())
-    assert doc["failed"] == 2
+    assert doc["failed"] == 3
     assert "error" in doc["checks"][0]
     assert "HypothesisViolated" in doc["checks"][1]["error"]
+    assert "TooFewSamples" in doc["checks"][2]["error"]
 
 
 def test_verify_suite_file_errors(tmp_path):

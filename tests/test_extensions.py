@@ -1,5 +1,6 @@
 """Recurrent extensions: gates, restart law, gluing, entrance law."""
 
+import json
 import math
 
 import numpy as np
@@ -102,8 +103,9 @@ def test_simulate_extension_glues_excursions():
     assert all(x >= 0.05 for _, x in ep.restarts)
     assert list(ep.zero_hits) == sorted(ep.zero_hits)
     assert len(ep.restarts) - len(ep.zero_hits) in (0, 1)
-    recs = list(ep.to_json_records())
-    assert len(recs) == len(ep.restarts) + len(ep.zero_hits)
+    rec = json.loads(ep.to_json_record())
+    assert rec["restarts"] == [[t, x] for t, x in ep.restarts]
+    assert rec["zero_hits"] == ep.zero_hits and rec["epsilon"] == 0.05
 
 
 def test_simulate_extension_continuous_mode():
@@ -185,5 +187,5 @@ def test_resolvent_crosscheck_small():
     rep = resolvent_crosscheck(catalog.brownian(), 1.0,
                                {"kind": "bump", "a": 0.5, "b": 1.5},
                                20000, CFG)
-    assert rep["z"] < 5.0
-    assert rep["lhs"] > 0 and rep["rhs"] > 0
+    assert rep.z_score < 5.0
+    assert rep.lhs > 0 and rep.rhs > 0

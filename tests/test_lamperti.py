@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pssmplab import catalog
-from pssmplab.errors import HorizonTooShort, StartsAtZero
+from pssmplab.errors import HorizonTooShort, ModelDoesNotHitZero, StartsAtZero
 from pssmplab.lamperti import (
     PssmpPath,
     hitting_time_samples,
@@ -98,6 +98,10 @@ def test_forward_map_rejects_nonpositive_x0():
     for alpha in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="alpha"):
             levy_to_pssmp(path, 1.0, alpha)
+    # a conservative model drifting up never hits 0: no censored draws
+    with pytest.raises(ModelDoesNotHitZero):
+        hitting_time_samples(LevyModel(drift=1.0), 1.0, 5,
+                             SimConfig(horizon=50.0))
 
 
 def test_inverse_map_rejects_start_at_zero():

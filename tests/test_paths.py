@@ -103,6 +103,12 @@ def test_config_validation():
             SimConfig(dt=dt)
     with pytest.raises(ValueError, match="horizon"):
         SimConfig(horizon=math.nan)
+    # an infinite horizon is a valid config, but a path that is not killed
+    # would never end
+    with pytest.raises(ValueError, match="horizon"):
+        sample_levy_path(catalog.pure_drift(), SimConfig(horizon=math.inf))
+    path = sample_levy_path(catalog.brownian(), SimConfig(horizon=math.inf))
+    assert path.zeta is not None and path.times[-1] == path.zeta
     with pytest.raises(ValueError):
         stream_rng(0, -1)
     with pytest.raises(ValueError):
