@@ -116,8 +116,8 @@ def _run_check(check: dict, seed: int, stream_base: int) -> dict:
     op = check.get("op")
     n = int(check.get("n", 20000))
     z_max = float(check.get("z_max", 4.0))
-    cfg = SimConfig(dt=float(check.get("dt", 0.01)),
-                    horizon=float(check.get("horizon", 400.0)),
+    cfg = SimConfig(dt=float(check.get("dt", SimConfig.dt)),
+                    horizon=float(check.get("horizon", SimConfig.horizon)),
                     seed=seed, stream_id=stream_base)
     out = {"op": op}
     try:
@@ -250,8 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     required=True)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--samples", type=int, default=1)
-    ps.add_argument("--dt", type=float, default=0.01)
-    ps.add_argument("--horizon", type=float, default=400.0)
+    ps.add_argument("--dt", type=float, default=SimConfig.dt)
+    ps.add_argument("--horizon", type=float, default=SimConfig.horizon)
     ps.add_argument("--x0", type=float, default=1.0)
     ps.add_argument("--epsilon", type=float)
     ps.add_argument("--beta", type=float)

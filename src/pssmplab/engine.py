@@ -143,23 +143,23 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
     return out_a, out_x, status
 
 
-def functional_batch(model: LevyModel, sign: float, n: int,
-                     rng: np.random.Generator, config: SimConfig,
+def functional_batch(model: LevyModel, sign: float, n: int, config: SimConfig,
                      rel_tol: float = REL_TOL) -> FunctionalBatch:
-    """n draws of integral_0^stop e^{sign*xi/alpha}; censored marks paths
-    that hit the horizon before killing or convergence."""
-    a, _, status = _run(model, sign, n, rng, config.dt, config.horizon,
-                        rel_tol)
+    """n draws of integral_0^stop e^{sign*xi/alpha} on the config's stream;
+    censored marks paths that hit the horizon before killing or
+    convergence."""
+    a, _, status = _run(model, sign, n, config.rng(), config.dt,
+                        config.horizon, rel_tol)
     return FunctionalBatch(values=a, censored=status == CENSORED)
 
 
 def marginal_batch(model: LevyModel, targets: np.ndarray,
-                   rng: np.random.Generator,
                    config: SimConfig) -> MarginalBatch:
     """xi at the first time A crosses each target (the Lamperti clock),
-    KILLED where zeta arrives first (the pssMp is already at 0)."""
+    KILLED where zeta arrives first (the pssMp is already at 0); drawn on
+    the config's stream."""
     targets = np.asarray(targets, dtype=float)
     # rel_tol = 0: a path stops only at its target, at zeta or the horizon
-    _, x, status = _run(model, 1.0, targets.size, rng, config.dt,
+    _, x, status = _run(model, 1.0, targets.size, config.rng(), config.dt,
                         config.horizon, rel_tol=0.0, targets=targets)
     return MarginalBatch(xi=x, status=status)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .errors import (
     NotDriftingUp,
     TooFewSamples,
 )
-from .models import LevyModel, cramer_root, dual, esscher
+from .models import LevyModel, cramer_root, esscher
 from .paths import SimConfig
 
 __all__ = ["ExpFunEstimate", "CheckReport", "sample_I", "sample_I_batch",
@@ -81,25 +80,20 @@ def _require_hits_zero(model: LevyModel):
 
 
 def sample_I_batch(model: LevyModel, n: int, config: SimConfig,
-                   rng: Optional[np.random.Generator] = None,
                    rel_tol: float = REL_TOL):
-    """n draws of I; returns (values, censored mask)."""
+    """n draws of I on the config's stream; returns (values, censored
+    mask)."""
     _require_hits_zero(model)
-    if rng is None:
-        rng = config.rng()
-    batch = functional_batch(model, 1.0, n, rng, config, rel_tol=rel_tol)
+    batch = functional_batch(model, 1.0, n, config, rel_tol=rel_tol)
     return batch.values, batch.censored
 
 
-def sample_J_batch(tilted: LevyModel, n: int, config: SimConfig,
-                   rng: Optional[np.random.Generator] = None,
-                   rel_tol: float = REL_TOL):
-    """n draws of J under a conservative model drifting to +inf."""
+def sample_J_batch(tilted: LevyModel, n: int, config: SimConfig):
+    """n draws of J under a conservative model drifting to +inf, on the
+    config's stream."""
     if tilted.killing > 0 or not tilted.mean() > 0:
         raise NotDriftingUp("J requires a conservative model with psi'(0) > 0")
-    if rng is None:
-        rng = config.rng()
-    batch = functional_batch(tilted, -1.0, n, rng, config, rel_tol=rel_tol)
+    batch = functional_batch(tilted, -1.0, n, config)
     return batch.values, batch.censored
 
 
@@ -147,14 +141,14 @@ def _check_moment_hypothesis(model: LevyModel, p: float):
 
 
 def moment(model: LevyModel, p: float, n: int, config: SimConfig,
-           functional: str = "I",
-           rng: Optional[np.random.Generator] = None) -> ExpFunEstimate:
-    """Monte Carlo E(functional^p) with the moment-existence gate for I."""
+           functional: str = "I") -> ExpFunEstimate:
+    """Monte Carlo E(functional^p) on the config's stream, with the
+    moment-existence gate for I."""
     if functional == "I":
         _check_moment_hypothesis(model, p)
-        values, censored = sample_I_batch(model, n, config, rng=rng)
+        values, censored = sample_I_batch(model, n, config)
     elif functional == "J":
-        values, censored = sample_J_batch(model, n, config, rng=rng)
+        values, censored = sample_J_batch(model, n, config)
     else:
         raise ValueError("functional must be 'I' or 'J'")
     m, se = mean_se(values[~censored] ** p)
@@ -172,15 +166,11 @@ def recursion_check(model: LevyModel, beta: float, n: int,
         raise HypothesisViolated(
             f"beta={beta} must lie in (0, {1.0 / model.alpha:g})")
     v = model.psi(beta)
-    if not v < 0:
-        raise HypothesisViolated(f"psi({beta:g}) = {v:g} must be < 0")
-    if abs(v) < NEAR_CRITICAL_PSI:
-        warnings.warn(
-            f"psi({beta:g}) = {v:g} is near-critical; variance is large",
-            stacklevel=2)
     ab = model.alpha * beta
-    lhs = moment(model, ab, n, config, rng=config.rng())
-    low = moment(model, ab - 1.0, n, config, rng=config.substream(1).rng())
+    # moment's gate at p = alpha beta requires v < 0 and warns when v is
+    # near-critical
+    lhs = moment(model, ab, n, config)
+    low = moment(model, ab - 1.0, n, config.substream(1))
     factor = ab / (-v)
     return CheckReport(lhs=lhs.value, rhs=factor * low.value,
                        std_err=math.hypot(lhs.std_err, factor * low.std_err),
@@ -199,9 +189,8 @@ def dual_identity_check(model: LevyModel, n: int,
     """E_tilted(J^{alpha theta - 1}) against E(I^{alpha theta - 1})."""
     theta = _root_or_raise(model).theta
     p = model.alpha * theta - 1.0
-    lhs = moment(esscher(model, theta), p, n, config, functional="J",
-                 rng=config.rng())
-    rhs = moment(model, p, n, config, rng=config.substream(1).rng())
+    lhs = moment(esscher(model, theta), p, n, config, functional="J")
+    rhs = moment(model, p, n, config.substream(1))
     return CheckReport(lhs=lhs.value, rhs=rhs.value,
                        std_err=math.hypot(lhs.std_err, rhs.std_err),
                        n=n, censored=lhs.censored + rhs.censored)
@@ -221,7 +210,7 @@ def negative_moment_check(model: LevyModel, n: int,
             "psi'_-(theta) diverges (boundary root): E_tilted(J^{-1}) is "
             "infinite and the estimate grows with n instead of stabilizing")
     lhs = moment(esscher(model, report.theta), -1.0, n, config,
-                 functional="J", rng=config.rng())
+                 functional="J")
     return CheckReport(lhs=lhs.value,
                        rhs=report.psi_prime_at_theta / model.alpha,
                        std_err=lhs.std_err, n=n, censored=lhs.censored)

@@ -36,7 +36,7 @@ from .expfun import (
     sample_I_batch,
     sample_J_batch,
 )
-from .lamperti import PssmpPath, levy_to_pssmp
+from .lamperti import levy_to_pssmp
 from .models import LevyModel, cramer_root, dual, esscher
 from .paths import SimConfig, sample_levy_path
 
@@ -261,12 +261,11 @@ def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
     t_grid = np.asarray(t_grid, dtype=float)
     alpha = model.alpha
 
-    jv, jc = sample_J_batch(tilted, n, config, rng=config.rng())
+    jv, jc = sample_J_batch(tilted, n, config)
     jv = jv[~jc]
     w = jv ** (at - 1.0)
 
-    den = moment(tilted, at - 1.0, n, config, functional="J",
-                 rng=config.substream(1).rng())
+    den = moment(tilted, at - 1.0, n, config.substream(1), functional="J")
 
     gam = special.gamma(1.0 - at)
     values = np.empty(t_grid.size)
@@ -350,9 +349,9 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
 
     # --- rhs: x-quadrature over the support of f
     hat = dual(tilted)
-    iv, ic = sample_I_batch(hat, n, config, rng=config.substream(2).rng())
+    iv, ic = sample_I_batch(hat, n, config.substream(2))
     iv = iv[~ic]
-    iv2, ic2 = sample_I_batch(hat, n, config, rng=config.substream(3).rng())
+    iv2, ic2 = sample_I_batch(hat, n, config.substream(3))
     den, den_se = mean_se(iv2[~ic2] ** (at - 1.0))
 
     # support of f by scanning (catalog functions have compact support)

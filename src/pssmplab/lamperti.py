@@ -155,15 +155,13 @@ def hitting_time_samples(model: LevyModel, x0: float, n: int,
 
 
 def pssmp_marginal(model: LevyModel, x0: float, t: float, n: int,
-                   config: SimConfig,
-                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """n draws of X_t under P_{x0}; 0 where the path was absorbed before t."""
+                   config: SimConfig) -> np.ndarray:
+    """n draws of X_t under P_{x0} on the config's stream; 0 where the path
+    was absorbed before t."""
     _check_positive("x0", x0)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    if rng is None:
-        rng = config.rng()
     target = t * x0 ** (-1.0 / model.alpha)
-    batch = marginal_batch(model, np.full(n, target), rng, config)
+    batch = marginal_batch(model, np.full(n, target), config)
     out = np.where(batch.status == HIT, x0 * np.exp(batch.xi), 0.0)
     return out

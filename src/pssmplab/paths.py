@@ -162,9 +162,9 @@ def sample_levy_path(model: LevyModel, config: SimConfig,
 
 
 def sample_increment_batch(model: LevyModel, t: float, n: int,
-                           config: SimConfig,
-                           rng: Optional[np.random.Generator] = None):
-    """n independent draws of xi_t together with a killed-before-t flag.
+                           config: SimConfig):
+    """n independent draws of xi_t on the config's stream, together with a
+    killed-before-t flag.
 
     The Gaussian part is one exact N(0, gaussian * t) draw per path; jump
     totals are exact Poisson sums.  Returns (values, killed) where values[killed] are left in place but only
@@ -172,8 +172,7 @@ def sample_increment_batch(model: LevyModel, t: float, n: int,
     """
     if t > config.horizon:
         raise ValueError("t must not exceed the configured horizon")
-    if rng is None:
-        rng = config.rng()
+    rng = config.rng()
     if model.killing > 0:
         killed = rng.exponential(1.0 / model.killing, n) < t
     else:

@@ -73,10 +73,10 @@ def scaling_test(model: LevyModel, x: float, c: float, t_grid, n: int,
     reports = []
     for k, t in enumerate(np.atleast_1d(t_grid)):
         t_scaled = t * c ** (-1.0 / alpha_used)
-        a = c * pssmp_marginal(model, x, t_scaled, n, config,
-                               rng=config.substream(2 * k).rng())
-        b = pssmp_marginal(model, c * x, float(t), n, config,
-                           rng=config.substream(2 * k + 1).rng())
+        a = c * pssmp_marginal(model, x, t_scaled, n,
+                               config.substream(2 * k))
+        b = pssmp_marginal(model, c * x, float(t), n,
+                           config.substream(2 * k + 1))
         reports.append(ks_two_sample(a, b))
     return reports
 
@@ -240,11 +240,10 @@ def counterexample_demo(q: float, beta: float, delta: float, n: int,
         diverges = True
 
     tilted = esscher(model, report.theta)
-    xi1, _ = sample_increment_batch(tilted, 1.0, n, config, rng=config.rng())
+    xi1, _ = sample_increment_batch(tilted, 1.0, n, config)
     hill = hill_estimate(xi1)
 
-    iv, ic = sample_I_batch(model, n, config,
-                            rng=config.substream(1).rng())
+    iv, ic = sample_I_batch(model, n, config.substream(1))
     t0 = iv[~ic]  # T_0 from x = 1
     hi = float(np.quantile(t0, 0.999))
     xs = np.geomspace(hi / 10.0, hi, 8)

@@ -101,7 +101,7 @@ def test_window_cut_short_by_a_jump_is_not_read_as_convergence():
                       jumps=(CompoundPoisson(rate=200.0,
                                              law=PointMass(0.005)),),
                       killing=0.0, alpha=1.0)
-    loose = functional_batch(model, -1.0, 1, CFG.rng(), CFG)
-    tight = functional_batch(model, -1.0, 1, CFG.rng(), CFG, rel_tol=1e-12)
+    loose = functional_batch(model, -1.0, 1, CFG)
+    tight = functional_batch(model, -1.0, 1, CFG, rel_tol=1e-12)
     assert not loose.censored[0] and not tight.censored[0]
     assert abs(loose.values[0] - tight.values[0]) < 1e-5 * tight.values[0]

@@ -1,6 +1,7 @@
 """Exponential functionals I and J: exact cases, gates, identity checks."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,17 @@ def test_moment_hypothesis_gate():
 def test_near_critical_warning():
     with pytest.warns(UserWarning, match="near-critical"):
         moment(catalog.brownian(), 0.49, 50, CFG)
+
+
+def test_recursion_check_warns_once_near_critical():
+    # psi(0.48) = -0.0098 on brownian: moment's gate at p = alpha beta is
+    # the one statement of the warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        recursion_check(catalog.brownian(), 0.48, 50, CFG)
+    assert len(caught) == 1
+    assert issubclass(caught[0].category, UserWarning)
+    assert "near-critical" in str(caught[0].message)
 
 
 def test_sample_J_requires_upward_drift():

@@ -1,0 +1,41 @@
+"""Every name a pssmplab module imports is used in that module.
+
+Package ``__init__.py`` files only re-export, so they are exempt, as are
+``__future__`` imports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pssmplab"
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str):
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - used)
+
+
+def test_scan_sees_unused_and_used_names():
+    src = ("from __future__ import annotations\n"
+           "import os.path\nimport numpy as np\n"
+           "from typing import Optional, Sequence\n"
+           "def f(x: Optional[int]):\n    return np.zeros(x)\n")
+    assert _unused_imports(src) == ["Sequence", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_module_imports_are_used(path):
+    assert _unused_imports(path.read_text()) == []

@@ -186,7 +186,7 @@ def test_target_crossing_closed_form():
 def test_marginal_batch_pure_drift():
     cfg = SimConfig(dt=0.01, horizon=100.0, seed=0)
     targets = np.array([0.25, 0.5, 0.75])
-    batch = marginal_batch(catalog.pure_drift(), targets, cfg.rng(), cfg)
+    batch = marginal_batch(catalog.pure_drift(), targets, cfg)
     assert (batch.status == HIT).all()
     np.testing.assert_allclose(batch.xi, np.log1p(-targets), rtol=1e-10)
 
@@ -194,7 +194,7 @@ def test_marginal_batch_pure_drift():
 def test_marginal_batch_jump_engine_statuses():
     cfg = SimConfig(dt=0.01, horizon=400.0, seed=0)
     targets = np.full(2000, 0.3)
-    batch = marginal_batch(catalog.two_sided(), targets, cfg.rng(), cfg)
+    batch = marginal_batch(catalog.two_sided(), targets, cfg)
     assert set(np.unique(batch.status)) <= {HIT, KILLED}
     assert (batch.status == HIT).any() and (batch.status == KILLED).any()
     assert np.isfinite(batch.xi[batch.status == HIT]).all()
