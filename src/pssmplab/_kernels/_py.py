@@ -36,10 +36,20 @@ unrolled, and it returns the same bits:
 * steps: every row is a full ``dt`` step, ``inc = b dt + sigma sqrt(dt) N``
   and ``seg = dt e^{s X} phi``, except the kill row, which is recomputed
   with ``dt_eff = zeta - T``.  Each is the recursion's own expression on
-  the same operands, elementwise;
-* sums: ``X[r] = x + inc[0] + ... + inc[r - 1]`` and likewise ``A`` and
-  ``W`` from ``a`` and ``w`` over ``seg``, added row by row, so row r holds
-  exactly what the recursion holds after r steps;
+  the same operands, elementwise.  A one-row window (a model without a
+  Gaussian part) has its kill row on row 0, so there every cell takes
+  ``dt_eff = min(zeta - t, dt)``, with no kill-row gathers;
+* sums: ``X[r] = x + inc[0] + ... + inc[r - 1]`` is added row by row, so
+  row r holds exactly what the recursion holds after r steps; in TARGET
+  mode so is ``A`` from ``a`` over ``seg``, since the crossing test reads
+  it on every row.  Otherwise ``A`` and ``W`` are only read at each path's
+  stop row: the rows of ``seg`` at or past it are set to +0.0, the start
+  value goes above row 0, and one reduction down the rows adds
+  ``a + seg[0] + ... + seg[stop - 1]`` in the recursion's order.  The
+  +0.0 terms keep the bits, since x + 0.0 == x for every x but -0.0 and
+  the sums start at a, w >= +0.0 and add seg >= +0.0.  numpy reduces a
+  single column, the contiguous axis, pairwise, so a one-column block
+  takes ``np.add.accumulate``, which always adds in order;
 * stop: a path stops at its kill row or, in TARGET mode, at its first row
   with ``seg >= target - A`` when that comes first or on the kill row
   itself.  Each output is read from the stop row of its column, so rows
@@ -118,31 +128,52 @@ def _clock(t, m, dt):
     return T
 
 
+def _row_sum(S):
+    """S[0] + S[1] + ... + S[-1] per column, added in row order.  reduce
+    adds whole rows in order, but it sums a single column, the contiguous
+    axis, pairwise, so a one-column block goes through accumulate."""
+    if S.shape[1] == 1:
+        return np.add.accumulate(S, axis=0)[-1]
+    return np.add.reduce(S, axis=0)
+
+
 def _advance_block(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
                    s_ia, mode):
     m, k = normals.shape
     live = done == 0
     if not live.any():
         return
-    # scratch: inc's buffer later holds phi and then A, d's holds seg, and
-    # X's holds W once x is read
-    buf_a, X, buf_d = _buffers(m, k)
-    inc, d = buf_a[:m], buf_d[:m]
+    # scratch: inc's buffer later holds phi and then, in TARGET mode, A;
+    # d and then seg sit in rows 1..m of S, whose row 0 takes the start
+    # value of each stop-row sum
+    buf_a, X, S = _buffers(m, k)
+    inc, d = buf_a[:m], S[1:]
     col = np.arange(k)
     T = np.broadcast_to(_clock(t, m, dt), (m + 1, k))
-    # kill row: each path's first step with zeta - T <= dt, or m if none;
-    # zeta - T does not grow down a column, so those steps are a suffix,
-    # and only the paths whose last step satisfies it die in this window
-    kcol = np.flatnonzero(zeta - T[m - 1] <= dt)
-    krow = m - np.count_nonzero(zeta[kcol] - T[:m, kcol] <= dt, axis=0)
-    kill = np.full(k, m)
-    kill[kcol] = krow
-    dt_k = zeta[kcol] - T[krow, kcol]
-    # every step is a full dt step except the kill row; rows past a path's
-    # stop row are computed as more full steps but never read
-    np.multiply(normals, sigma * np.sqrt(dt), out=inc)
-    inc += b * dt
-    inc[krow, kcol] = b * dt_k + sigma * np.sqrt(dt_k) * normals[krow, kcol]
+    if m == 1:
+        # one row: a path that dies in the window dies on it, so every
+        # cell is its own step of h = min(zeta - t, dt)
+        left = zeta - T[0]
+        kill = np.where(left <= dt, 0, 1)
+        h = np.minimum(left, dt)
+        np.add(b * h, sigma * np.sqrt(h) * normals[0], out=inc[0])
+    else:
+        # kill row: each path's first step with zeta - T <= dt, or m if
+        # none; zeta - T does not grow down a column, so those steps are a
+        # suffix, and only the paths whose last step satisfies it die in
+        # this window
+        kcol = np.flatnonzero(zeta - T[m - 1] <= dt)
+        krow = m - np.count_nonzero(zeta[kcol] - T[:m, kcol] <= dt, axis=0)
+        kill = np.full(k, m)
+        kill[kcol] = krow
+        dt_k = zeta[kcol] - T[krow, kcol]
+        # every step is a full dt step except the kill row; rows past a
+        # path's stop row are computed as more full steps and never reach
+        # an output
+        np.multiply(normals, sigma * np.sqrt(dt), out=inc)
+        inc += b * dt
+        inc[krow, kcol] = (b * dt_k +
+                           sigma * np.sqrt(dt_k) * normals[krow, kcol])
     _accumulate(X, x, inc)
     np.multiply(inc, s_ia, out=d)
     phi = inc
@@ -152,24 +183,34 @@ def _advance_block(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
         phi[d == 0.0] = 1.0
         seg = np.multiply(X[:m], s_ia, out=d)
         np.exp(seg, out=seg)
-    e_k = seg[krow, kcol]
-    seg *= dt
-    seg[krow, kcol] = dt_k * e_k
+    if m == 1:
+        seg *= h
+    else:
+        e_k = seg[krow, kcol]
+        seg *= dt
+        seg[krow, kcol] = dt_k * e_k
     seg *= phi
-    A = _accumulate(buf_a, a, seg)
     stop = np.minimum(kill + 1, m)
-    np.copyto(a, A[stop, col], where=live)
     hit = np.zeros(k, bool)
     if mode == TARGET:
+        # the crossing test reads A on every row
+        A = _accumulate(buf_a, a, seg)
+        np.copyto(a, A[stop, col], where=live)
         rem = np.subtract(target, A[:m], out=A[:m])
         cross = seg >= rem
         first = cross.argmax(axis=0)
         hit = live & cross[first, col] & (first <= kill)
         stop = np.where(hit, first, stop)
     np.copyto(x, X[stop, col], where=live)
-    W = _accumulate(X, w, seg)
-    np.copyto(w, W[stop, col], where=live)
     np.copyto(t, T[stop, col], where=live)
+    # A and W at the stop row: rows at or past it add +0.0
+    if (stop < m).any():
+        np.copyto(seg, 0.0, where=np.arange(m)[:, None] >= stop)
+    if mode != TARGET:
+        S[0] = a
+        np.copyto(a, _row_sum(S), where=live)
+    S[0] = w
+    np.copyto(w, _row_sum(S), where=live)
     killed = live & (kill < m) & ~hit
     t[killed] = zeta[killed]
     done[killed] = 1

@@ -125,6 +125,31 @@ def test_window_matches_per_step_recursion_bit_for_bit(same_t):
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("inside", [True, False])
+def test_one_column_window_matches_per_step_recursion(inside):
+    # a block of one column, as at the tail of a conservative J batch:
+    # numpy sums a contiguous axis pairwise, and A and W must still be
+    # added row by row; zeta inside the window or infinite
+    rng = np.random.default_rng(11)
+    m, dt = 128, 0.05
+    seen = dict(d_zero=0, small_kc=0, cross_on_kill=0)
+    for _ in range(10):
+        t = rng.uniform(0.0, 2.0, 1)
+        zeta = t + rng.uniform(0.0, m * dt, 1) if inside else \
+            np.full(1, np.inf)
+        state = [rng.normal(size=1), rng.exponential(0.2, 1), t,
+                 rng.exponential(0.05, 1), np.zeros(1, np.uint8)]
+        args = (zeta, np.full(1, np.inf), rng.standard_normal((m, 1)), 0.3,
+                1.0, dt, 1.0, -1.0, _py.STOP_AT_ZETA)
+        ref = [v.copy() for v in state]
+        got = [v.copy() for v in state]
+        _reference_window(*ref, *args, seen)
+        _py.advance_window(*got, *args)
+        for name, r, g in zip("x a t w done".split(), ref, got):
+            assert np.array_equal(r, g), (zeta, name)
+        assert got[4][0] == inside
+
+
 @pytest.mark.parametrize("t0, dt", [(0.3, 0.05), (-2.0 ** -54, 0.5)])
 def test_kill_row_on_clock_edges(t0, dt):
     # zeta on or next to a grid time, where zeta - t <= dt is decided by
