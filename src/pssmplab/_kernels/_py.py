@@ -13,7 +13,11 @@ Modes:
                    per-path target; the crossing point is solved in closed
                    form and the path value at the crossing is stored in x.
 
-Done codes written into ``done``: 0 running, 1 stopped at zeta, 2 hit target.
+Window contract.  Every path in a window is running on entry: the caller
+passes only live paths, and ``done`` is an output, zero on entry.  The
+kernel writes the engine's stop codes into it: KILLED where a path stopped
+at zeta, HIT where its integral crossed the target; it stays 0 where the
+path ran the whole window.
 
 Dense formulation.  A whole window is computed as ``(m + 1, k)`` arrays, one
 row per grid step and one column per path, on column blocks of at most
@@ -65,6 +69,10 @@ BACKEND = "python"
 
 STOP_AT_ZETA = 0
 TARGET = 2
+
+# stop codes written into ``done``
+KILLED = 1
+HIT = 2
 
 # cells per column block: 512 paths of a 128-step window, so a thread's
 # scratch buffers take 1.6 MB for any window length; 1024 paths ran about
@@ -140,9 +148,6 @@ def _row_sum(S):
 def _advance_block(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
                    s_ia, mode):
     m, k = normals.shape
-    live = done == 0
-    if not live.any():
-        return
     # scratch: inc's buffer later holds phi and then, in TARGET mode, A;
     # d and then seg sit in rows 1..m of S, whose row 0 takes the start
     # value of each stop-row sum
@@ -195,25 +200,25 @@ def _advance_block(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
     if mode == TARGET:
         # the crossing test reads A on every row
         A = _accumulate(buf_a, a, seg)
-        np.copyto(a, A[stop, col], where=live)
+        a[:] = A[stop, col]
         rem = np.subtract(target, A[:m], out=A[:m])
         cross = seg >= rem
         first = cross.argmax(axis=0)
-        hit = live & cross[first, col] & (first <= kill)
+        hit = cross[first, col] & (first <= kill)
         stop = np.where(hit, first, stop)
-    np.copyto(x, X[stop, col], where=live)
-    np.copyto(t, T[stop, col], where=live)
+    x[:] = X[stop, col]
+    t[:] = T[stop, col]
     # A and W at the stop row: rows at or past it add +0.0
     if (stop < m).any():
         np.copyto(seg, 0.0, where=np.arange(m)[:, None] >= stop)
     if mode != TARGET:
         S[0] = a
-        np.copyto(a, _row_sum(S), where=live)
+        a[:] = _row_sum(S)
     S[0] = w
-    np.copyto(w, _row_sum(S), where=live)
-    killed = live & (kill < m) & ~hit
+    w[:] = _row_sum(S)
+    killed = (kill < m) & ~hit
     t[killed] = zeta[killed]
-    done[killed] = 1
+    done[killed] = KILLED
     if hit.any():
         ci = np.flatnonzero(hit)
         ri = stop[ci]
@@ -234,4 +239,4 @@ def _advance_block(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
         x[ci] = xi_c + c * s_star
         t[ci] += s_star
         a[ci] = target[ci]
-        done[ci] = 2
+        done[ci] = HIT

@@ -35,9 +35,9 @@ __all__ = ["FunctionalBatch", "MarginalBatch", "functional_batch",
 # reading is below REL_TOL of the running total
 REL_TOL = 1e-6
 
-# path status codes
-KILLED = 1     # reached zeta; A is the full integral up to killing
-HIT = 2        # marginal mode: A crossed the target
+# path status codes; the kernel writes the first two
+KILLED = _kernels.KILLED  # reached zeta; A is the full integral up to killing
+HIT = _kernels.HIT        # marginal mode: A crossed the target
 CONVERGED = 3  # conservative model: trailing window below rel_tol
 CENSORED = 4   # horizon exhausted first
 
@@ -79,50 +79,42 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
     m, step = (_WINDOW_STEPS, dt) if sigma > 0 else (1, _WINDOW_TIME)
     span = m * step
     mode = _kernels.TARGET if targets is not None else _kernels.STOP_AT_ZETA
-    if model.killing > 0:
-        zeta = rng.exponential(1.0 / model.killing, n)
-    else:
-        zeta = np.full(n, np.inf)
+    # the live state, one row per quantity and one column per live path
+    state = np.zeros((8, n))
+    x, a, t, w, zeta, jump_at, next_check, tgt = state
+    zeta[:] = rng.exponential(1.0 / model.killing, n) if model.killing > 0 \
+        else np.inf
     rates = np.array([s.intensity for s in model.jumps])
     total_rate = float(rates.sum())
-    if model.jumps:
-        jump_at = rng.exponential(1.0 / total_rate, n)
-    else:
-        jump_at = np.full(n, np.inf)
-    x = np.zeros(n)
-    a = np.zeros(n)
-    t = np.zeros(n)
-    w = np.zeros(n)
-    next_check = np.full(n, span)
-    tgt = np.asarray(targets, dtype=float).copy() if targets is not None \
-        else np.zeros(n)
+    jump_at[:] = rng.exponential(1.0 / total_rate, n) if model.jumps \
+        else np.inf
+    next_check[:] = span
+    tgt[:] = 0.0 if targets is None else targets
     live = np.arange(n)
-    out_a = np.zeros(n)
-    out_x = np.zeros(n)
+    out = np.zeros((2, n))
     status = np.full(n, CENSORED, dtype=np.int8)
 
     while live.size:
         k = live.size
         normals = rng.standard_normal((m, k)) if sigma > 0 \
             else np.zeros((m, k))
-        done = np.zeros(k, np.uint8)
-        _kernels.advance_window(x, a, t, w, done, np.minimum(zeta, jump_at),
+        st = np.zeros(k, np.int8)
+        _kernels.advance_window(x, a, t, w, st, np.minimum(zeta, jump_at),
                                 tgt, normals, float(model.drift), sigma,
                                 float(step), 1.0 / model.alpha, float(sign),
                                 mode)
-        st = done.astype(np.int8)
         # stopped at a jump epoch rather than at zeta: jump and go on
         jumped = (st == KILLED) & (jump_at < zeta)
+        # convergence is read after a full window, or at a jump once a
+        # window's time has passed since the last reading, never on a
+        # window that a jump cut short
+        due = (st == 0) | (jumped & (t >= next_check))
         ji = np.flatnonzero(jumped)
         if ji.size:
             st[ji] = 0
             x[ji] += _draw_jump_sizes(model.jumps, rates, total_rate, rng,
                                       ji.size)
             jump_at[ji] = t[ji] + rng.exponential(1.0 / total_rate, ji.size)
-        # convergence is read after a full window, or at a jump once a
-        # window's time has passed since the last reading, never on a
-        # window that a jump cut short
-        due = (done == 0) | (jumped & (t >= next_check))
         conv = due & (zeta == np.inf) & (t >= _MIN_TIME) & (w < rel_tol * a)
         st[conv] = CONVERGED
         reset = due & ~conv
@@ -132,15 +124,13 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
         finished = st != 0
         if finished.any():
             idx = live[finished]
-            out_a[idx] = a[finished]
-            out_x[idx] = x[finished]
+            out[:, idx] = np.compress(finished, state[:2], axis=1)
             status[idx] = st[finished]
             keep = ~finished
             live = live[keep]
-            x, a, t, w, tgt = x[keep], a[keep], t[keep], w[keep], tgt[keep]
-            zeta, jump_at = zeta[keep], jump_at[keep]
-            next_check = next_check[keep]
-    return out_a, out_x, status
+            state = np.compress(keep, state, axis=1)
+            x, a, t, w, zeta, jump_at, next_check, tgt = state
+    return out[1], out[0], status
 
 
 def functional_batch(model: LevyModel, sign: float, n: int, config: SimConfig,

@@ -36,7 +36,7 @@ from .expfun import (
     sample_I_batch,
     sample_J_batch,
 )
-from .lamperti import levy_to_pssmp
+from .lamperti import _check_positive, levy_to_pssmp
 from .models import LevyModel, cramer_root, dual, esscher
 from .paths import SimConfig, sample_levy_path
 
@@ -104,10 +104,8 @@ class ExtensionConfig:
     def __post_init__(self):
         if self.mode not in ("jump_in", "continuous"):
             raise ValueError("mode must be 'jump_in' or 'continuous'")
-        for name in ("epsilon", "horizon"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        _check_positive("epsilon", self.epsilon)
+        _check_positive("horizon", self.horizon)
         if self.mode == "jump_in" and self.beta is None:
             raise ValueError("jump_in mode requires beta")
         if self.beta is not None and not math.isfinite(self.beta):
@@ -157,9 +155,8 @@ def extension_gamma(model: LevyModel, cfg: ExtensionConfig) -> float:
 def sample_jump_in_restart(beta: float, epsilon: float,
                            rng: np.random.Generator) -> float:
     """One draw from eta_beta restricted to (epsilon, inf), by inverse CDF."""
-    for name, v in (("beta", beta), ("epsilon", epsilon)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    _check_positive("beta", beta)
+    _check_positive("epsilon", epsilon)
     return epsilon * rng.random() ** (-1.0 / beta)
 
 
@@ -337,6 +334,20 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     alpha = model.alpha
     func = make_test_function(f)
 
+    # support of f by scanning, before any sampling: the x-quadrature
+    # covers the part of the probe grid where f is nonzero, so an f that
+    # is nonzero at either end of the grid would be cut off there
+    probe = np.geomspace(1e-4, 1e4, 4001)
+    on = func(probe) != 0
+    if not on.any():
+        raise ValueError("test function f is identically zero on the probe "
+                         "grid")
+    if on[0] or on[-1]:
+        raise ValueError("test function f is nonzero at the end of the probe "
+                         f"grid [{probe[0]:g}, {probe[-1]:g}]; the resolvent "
+                         "needs an f with compact support inside it")
+    a, b = probe[on][0] * 0.999, probe[on][-1] * 1.001
+
     # --- lhs: t-quadrature with the u-substitution grid
     p = 1.0 - at
     u, t = _u_substitution_grid(at, _E_FOLDS / lam, _RESOLVENT_T_NODES)
@@ -354,12 +365,6 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     iv2, ic2 = sample_I_batch(hat, n, config.substream(3))
     den, den_se = mean_se(iv2[~ic2] ** (at - 1.0))
 
-    # support of f by scanning (catalog functions have compact support)
-    probe = np.geomspace(1e-4, 1e4, 4001)
-    on = func(probe) > 0
-    if not on.any():
-        raise ValueError("test function is identically zero on the probe grid")
-    a, b = probe[on][0] * 0.999, probe[on][-1] * 1.001
     nodes, weights = np.polynomial.legendre.leggauss(_RESOLVENT_X_NODES)
     x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
     wq = 0.5 * (b - a) * weights

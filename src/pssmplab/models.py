@@ -300,9 +300,6 @@ class TemperedPower:
     def domain_sup(self) -> float:
         return self.q if self.sign > 0 else math.inf
 
-    def small_jump_bias_bound(self) -> float:
-        return self.delta ** (1.0 - self.beta) / (1.0 - self.beta)
-
     def exponent(self, lam: float) -> float:
         s = self.sign * lam
         if s > self.q:
@@ -406,9 +403,6 @@ class LevyModel:
 
     def hits_zero(self) -> bool:
         return self.killing > 0 or self.mean() < 0
-
-    def to_json(self) -> dict:
-        return model_to_dict(self)
 
 
 class BetaClass(enum.Enum):

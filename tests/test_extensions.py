@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pssmplab import catalog
+from pssmplab import catalog, extensions
 from pssmplab.errors import ConfigRejected
 from pssmplab.extensions import (
     ExtensionConfig,
@@ -189,3 +189,17 @@ def test_resolvent_crosscheck_small():
                                20000, CFG)
     assert rep.z_score < 5.0
     assert rep.lhs > 0 and rep.rhs > 0
+
+
+@pytest.mark.parametrize("spec", [{"kind": "one"}, {"kind": "power", "p": 1}])
+def test_resolvent_crosscheck_rejects_f_nonzero_at_probe_ends(spec,
+                                                              monkeypatch):
+    # the x-quadrature would cover only the probe grid and cut f off at its
+    # ends; the check is refused before anything is sampled
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the support probe")
+
+    monkeypatch.setattr(extensions, "entrance_law_curve", no_sampling)
+    monkeypatch.setattr(extensions, "sample_I_batch", no_sampling)
+    with pytest.raises(ValueError, match="function f is nonzero"):
+        resolvent_crosscheck(catalog.brownian(), 1.0, spec, 5000, CFG)

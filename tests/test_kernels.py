@@ -75,8 +75,8 @@ _SCENARIOS = [(0.3, 1.0, 32, True), (0.0, 0.0, 32, False),
 
 
 def _scenario_window(rng, b, sigma, m, wide, same_t, dt=0.05):
-    """A window's inputs: zeta inside the window or infinite; some paths
-    done on entry; nonzero incoming a and w; and targets that some paths
+    """A window's inputs: zeta inside the window or infinite; every path
+    running on entry; nonzero incoming a and w; and targets that some paths
     cross, some of them on their kill step."""
     n = _py._block(m) + 100 if wide else 64
     t = np.full(n, 0.3) if same_t else rng.uniform(0.0, 2.0, n)
@@ -90,8 +90,7 @@ def _scenario_window(rng, b, sigma, m, wide, same_t, dt=0.05):
     x = rng.normal(size=n)
     a = rng.exponential(0.2, n)
     w = rng.exponential(0.05, n)
-    done = np.where(rng.random(n) < 0.1, rng.integers(1, 3, n),
-                    0).astype(np.uint8)
+    done = np.zeros(n, np.uint8)
     target = a + rng.exponential(0.5 * m * dt, n)
     s = 2.0  # sign * inv_alpha below
     h = (j[on_kill] + 0.25) * dt

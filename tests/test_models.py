@@ -143,10 +143,8 @@ def test_tempered_power_killing_for_root():
     assert abs(m.psi(1.0)) < 1e-9
 
 
-def test_tempered_power_small_jump_bias_bound():
+def test_tempered_power_total_intensity_positive():
     spec = TemperedPower(q=1.0, beta=0.75, delta=0.01)
-    assert spec.small_jump_bias_bound() == pytest.approx(
-        0.01 ** 0.25 / 0.25, rel=1e-12)
     assert spec.total_intensity > 0
 
 
