@@ -55,7 +55,8 @@ class ExpFunEstimate:
 @dataclass
 class CheckReport:
     """lhs against rhs, read as z = |lhs - rhs| / se (0 where se is 0: both
-    sides are exact)."""
+    sides are exact; NaN unless lhs, rhs and se are all finite, so that no
+    z-gate passes it)."""
 
     lhs: float
     rhs: float
@@ -65,8 +66,11 @@ class CheckReport:
     censored: int
 
     def __post_init__(self):
-        self.z_score = abs(self.lhs - self.rhs) / self.std_err \
-            if self.std_err > 0 else 0.0
+        if not all(map(math.isfinite, (self.lhs, self.rhs, self.std_err))):
+            self.z_score = math.nan
+        else:
+            self.z_score = abs(self.lhs - self.rhs) / self.std_err \
+                if self.std_err > 0 else 0.0
 
     def to_json(self) -> dict:
         return {"lhs": self.lhs, "rhs": self.rhs, "se": self.std_err,

@@ -253,9 +253,11 @@ def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
                        config: SimConfig) -> EntranceCurve:
     """Entrance-law functional over a whole t-grid from one shared J batch;
     the normalizer is estimated on an independent stream."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    for t in t_grid.tolist():
+        _check_positive("t", t)
     theta, at, tilted = _tilted_setup(model)
     func = make_test_function(f)
-    t_grid = np.asarray(t_grid, dtype=float)
     alpha = model.alpha
 
     jv, jc = sample_J_batch(tilted, n, config)
@@ -330,6 +332,7 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     x^{1/alpha} I}) divided by alpha*Gamma(1-at)*E_dual(I^{at-1}), with I
     sampled under the dual of the tilted model.
     """
+    _check_positive("lambda", lam)
     theta, at, tilted = _tilted_setup(model)
     alpha = model.alpha
     func = make_test_function(f)

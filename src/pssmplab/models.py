@@ -12,15 +12,20 @@ pure function of immutable values.
 Finiteness is stated once: every exponent and mgf returns +inf outside its
 domain, and the existence verdicts (the Cramer root, condition 4
 psi'(theta) < inf, the boundary-root regime) are read off psi and psi'
-alone.  A new jump law for CompoundPoisson provides ``domain_sup`` (the
-upper end of its mgf domain, which brackets the root search), ``mgf`` and
-``mgf_derivative`` (+inf outside the domain), ``tilted(theta)`` returning
-(mgf(theta), tilted law), ``reflected()``, ``sample(rng, size)`` and
-``to_json()``; a new jump component next to CompoundPoisson and
-TemperedPower provides ``intensity``, ``domain_sup``, ``exponent`` and
-``exponent_derivative`` (+inf outside the domain), ``tilted``,
-``reflected``, ``sample_sizes`` and ``to_json``.  Model files name each
-law in ``_law_from_dict`` / ``_jump_from_dict``.
+alone; ``esscher`` rejects a theta with non-finite psi before any part
+is tilted, so ``tilted`` assumes theta inside the domain.
+
+A new jump law for CompoundPoisson is one frozen dataclass providing
+``domain_sup`` (the upper end of its mgf domain, which brackets the root
+search), ``mgf`` and ``mgf_derivative`` (+inf outside the domain),
+``tilted(theta)`` returning the tilted law, ``reflected()`` and
+``sample(rng, size)``, plus one entry in ``_LAWS``.  A new jump component
+next to CompoundPoisson and TemperedPower provides ``intensity``,
+``domain_sup``, ``exponent`` and ``exponent_derivative`` (+inf outside
+the domain), ``tilted``, ``reflected`` and ``sample_sizes``, plus one entry
+in ``_JUMPS``.  The dataclass fields are the model-file format: each init
+field is written under its own name, a ``sign`` field as "+" or "-"
+(optional on reading, "+" by default) and a ``law`` field as a nested law.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -100,21 +105,14 @@ class Exponential:
             return math.inf
         return self.sign * self.rate / (self.rate - s) ** 2
 
-    def tilted(self, theta: float) -> Tuple[float, "Exponential"]:
-        m = self.mgf(theta)
-        if not math.isfinite(m):
-            raise TiltOutsideDomain(f"tilt {theta} outside domain of {self}")
-        return m, Exponential(self.rate - self.sign * theta, self.sign)
+    def tilted(self, theta: float) -> "Exponential":
+        return Exponential(self.rate - self.sign * theta, self.sign)
 
     def reflected(self) -> "Exponential":
         return Exponential(self.rate, -self.sign)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.sign * rng.exponential(1.0 / self.rate, size=size)
-
-    def to_json(self) -> dict:
-        return {"type": "exponential", "rate": self.rate,
-                "sign": "+" if self.sign > 0 else "-"}
 
 
 @dataclass(frozen=True)
@@ -157,13 +155,11 @@ class TwoSidedExponential:
             out -= (1 - self.p_pos) * self.rate_neg / (self.rate_neg + lam) ** 2
         return out
 
-    def tilted(self, theta: float) -> Tuple[float, "TwoSidedExponential"]:
+    def tilted(self, theta: float) -> "TwoSidedExponential":
         m = self.mgf(theta)
-        if not math.isfinite(m):
-            raise TiltOutsideDomain(f"tilt {theta} outside domain of {self}")
         mp = self.p_pos * self.rate_pos / (self.rate_pos - theta) if self.p_pos > 0 else 0.0
         # a side with no mass keeps its rate: its domain bound is not real
-        return m, TwoSidedExponential(
+        return TwoSidedExponential(
             self.rate_pos - theta if self.p_pos > 0 else self.rate_pos,
             self.rate_neg + theta if self.p_pos < 1 else self.rate_neg,
             mp / m)
@@ -179,10 +175,6 @@ class TwoSidedExponential:
             -rng.exponential(1.0 / self.rate_neg, size=size),
         )
         return out
-
-    def to_json(self) -> dict:
-        return {"type": "two_sided_exponential", "rate_pos": self.rate_pos,
-                "rate_neg": self.rate_neg, "p_pos": self.p_pos}
 
 
 @dataclass(frozen=True)
@@ -204,17 +196,14 @@ class PointMass:
     def mgf_derivative(self, lam: float) -> float:
         return self.value * math.exp(lam * self.value)
 
-    def tilted(self, theta: float) -> Tuple[float, "PointMass"]:
-        return math.exp(theta * self.value), self
+    def tilted(self, theta: float) -> "PointMass":
+        return self
 
     def reflected(self) -> "PointMass":
         return PointMass(-self.value)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value)
-
-    def to_json(self) -> dict:
-        return {"type": "point_mass", "value": self.value}
 
 
 # ---------------------------------------------------------------------------
@@ -241,26 +230,20 @@ class CompoundPoisson:
         return self.law.domain_sup
 
     def exponent(self, lam: float) -> float:
-        m = self.law.mgf(lam)
-        return math.inf if not math.isfinite(m) else self.rate * (m - 1.0)
+        return self.rate * (self.law.mgf(lam) - 1.0)
 
     def exponent_derivative(self, lam: float) -> float:
-        d = self.law.mgf_derivative(lam)
-        return math.inf if not math.isfinite(d) else self.rate * d
+        return self.rate * self.law.mgf_derivative(lam)
 
     def tilted(self, theta: float) -> "CompoundPoisson":
-        m, law = self.law.tilted(theta)
-        return CompoundPoisson(self.rate * m, law)
+        return CompoundPoisson(self.rate * self.law.mgf(theta),
+                               self.law.tilted(theta))
 
     def reflected(self) -> "CompoundPoisson":
         return CompoundPoisson(self.rate, self.law.reflected())
 
     def sample_sizes(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.law.sample(rng, size)
-
-    def to_json(self) -> dict:
-        return {"type": "compound_poisson", "rate": self.rate,
-                "law": self.law.to_json()}
 
 
 @dataclass(frozen=True)
@@ -322,10 +305,8 @@ class TemperedPower:
         return self.sign * val
 
     def tilted(self, theta: float) -> "TemperedPower":
-        s = self.sign * theta
-        if s > self.q:
-            raise TiltOutsideDomain(f"tilt {theta} outside domain of {self}")
-        return TemperedPower(self.q - s, self.beta, self.delta, self.sign)
+        return TemperedPower(self.q - self.sign * theta, self.beta,
+                             self.delta, self.sign)
 
     def reflected(self) -> "TemperedPower":
         return TemperedPower(self.q, self.beta, self.delta, -self.sign)
@@ -343,10 +324,6 @@ class TemperedPower:
             out[filled:filled + x.size] = x
             filled += x.size
         return self.sign * out
-
-    def to_json(self) -> dict:
-        return {"type": "tempered_power", "q": self.q, "beta": self.beta,
-                "delta": self.delta, "sign": "+" if self.sign > 0 else "-"}
 
 
 # ---------------------------------------------------------------------------
@@ -623,40 +600,54 @@ def _sign(doc: dict, key: str, path: str) -> int:
     return 1 if v == "+" else -1
 
 
-def _law_from_dict(doc: dict, path: str):
+# the model-file name of each jump law and jump component; a part's other
+# fields are written under their own names
+_LAWS = {"exponential": Exponential,
+         "two_sided_exponential": TwoSidedExponential,
+         "point_mass": PointMass}
+_JUMPS = {"compound_poisson": CompoundPoisson, "tempered_power": TemperedPower}
+_TYPE_NAMES = {cls: name for table in (_LAWS, _JUMPS)
+               for name, cls in table.items()}
+
+
+def _part_to_dict(part) -> dict:
+    doc = {"type": _TYPE_NAMES[type(part)]}
+    for f in fields(part):
+        if not f.init:
+            continue
+        v = getattr(part, f.name)
+        if f.name == "sign":
+            v = "+" if v > 0 else "-"
+        elif f.name == "law":
+            v = _part_to_dict(v)
+        doc[f.name] = v
+    return doc
+
+
+def _part_from_dict(doc: dict, path: str, table: dict, what: str):
+    """The part of ``table`` named by doc["type"], every init field read
+    from doc; ``what`` names the table in the unknown-type error."""
     if not isinstance(doc, dict):
         raise ModelFileError(f"{path}: expected an object")
     kind = _require(doc, "type", path)
+    cls = table.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ModelFileError(f"{path}.type: unknown {what} {kind!r}")
+    args = {}
+    for f in fields(cls):
+        if not f.init:
+            continue
+        if f.name == "sign":
+            args[f.name] = _sign(doc, f.name, path)
+        elif f.name == "law":
+            args[f.name] = _part_from_dict(_require(doc, f.name, path),
+                                           f"{path}.law", _LAWS, "jump law")
+        else:
+            args[f.name] = _number(doc, f.name, path)
     try:
-        if kind == "exponential":
-            return Exponential(_number(doc, "rate", path), _sign(doc, "sign", path))
-        if kind == "two_sided_exponential":
-            return TwoSidedExponential(
-                _number(doc, "rate_pos", path), _number(doc, "rate_neg", path),
-                _number(doc, "p_pos", path))
-        if kind == "point_mass":
-            return PointMass(_number(doc, "value", path))
+        return cls(**args)
     except ValueError as exc:
         raise ModelFileError(f"{path}: {exc}") from exc
-    raise ModelFileError(f"{path}.type: unknown jump law {kind!r}")
-
-
-def _jump_from_dict(doc: dict, path: str):
-    if not isinstance(doc, dict):
-        raise ModelFileError(f"{path}: expected an object")
-    kind = _require(doc, "type", path)
-    try:
-        if kind == "compound_poisson":
-            return CompoundPoisson(
-                _number(doc, "rate", path),
-                _law_from_dict(_require(doc, "law", path), f"{path}.law"))
-        if kind == "tempered_power":
-            return TemperedPower(
-                _number(doc, "q", path), _number(doc, "beta", path),
-                _number(doc, "delta", path), _sign(doc, "sign", path))
-    except ValueError as exc:
-        raise ModelFileError(f"{path}: {exc}") from exc
-    raise ModelFileError(f"{path}.type: unknown jump spec {kind!r}")
 
 
 def model_from_dict(doc: dict, path: str = "$") -> LevyModel:
@@ -669,7 +660,8 @@ def model_from_dict(doc: dict, path: str = "$") -> LevyModel:
         return LevyModel(
             drift=_number(doc, "drift", path),
             gaussian=_number(doc, "gaussian", path),
-            jumps=tuple(_jump_from_dict(j, f"{path}.jumps[{i}]")
+            jumps=tuple(_part_from_dict(j, f"{path}.jumps[{i}]", _JUMPS,
+                                        "jump spec")
                         for i, j in enumerate(jumps)),
             killing=_number(doc, "killing", path),
             alpha=_number(doc, "alpha", path),
@@ -682,7 +674,7 @@ def model_to_dict(model: LevyModel) -> dict:
     return {
         "drift": model.drift,
         "gaussian": model.gaussian,
-        "jumps": [j.to_json() for j in model.jumps],
+        "jumps": [_part_to_dict(j) for j in model.jumps],
         "killing": model.killing,
         "alpha": model.alpha,
     }

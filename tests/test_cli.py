@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, manifests, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -102,17 +103,37 @@ def test_unknown_flag_is_an_error(brownian_file):
 
 
 def test_verify_custom_suite(tmp_path):
+    # the model by catalog name, from a model file and inline
+    drift_file = tmp_path / "pure_drift.json"
+    drift_file.write_text(json.dumps(model_to_dict(catalog.pure_drift())))
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"checks": [
         {"op": "recursion", "model": "pure_drift", "beta": 0.5, "n": 16},
         {"op": "renewal", "gamma": 0.75, "dx": 0.1, "t_max": 50.0,
          "rel_tol": 0.5},
+        {"op": "recursion", "model_file": str(drift_file), "beta": 0.5,
+         "n": 16},
+        {"op": "recursion", "model": model_to_dict(catalog.pure_drift(2.0)),
+         "beta": 0.25, "n": 8},
     ]}))
     out = tmp_path / "report.json"
     code = cli.main(["verify", "--suite", str(suite), "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["passed"] == 2 and doc["failed"] == 0
+    assert doc["passed"] == 4 and doc["failed"] == 0
+    # the normalization op and the resolvent op with its default lambda and
+    # f run and report their fields; their verdicts are not read here
+    report = cli.run_suite({"checks": [
+        {"op": "normalization", "model": "brownian", "n": 500},
+        {"op": "resolvent", "model": "brownian", "n": 500},
+    ]}, seed=0)
+    norm, res = report["checks"]
+    assert "error" not in norm and "error" not in res
+    assert set(norm) == {"op", "value", "se", "grid_change", "n", "pass"}
+    assert set(res) == {"op", "lhs", "rhs", "se", "z", "n", "censored",
+                        "pass"}
+    assert all(math.isfinite(norm[k]) for k in ("value", "se", "grid_change"))
+    assert all(math.isfinite(res[k]) for k in ("lhs", "rhs", "se", "z"))
 
 
 def test_verify_records_errors_and_exits_nonzero(tmp_path):
@@ -121,15 +142,21 @@ def test_verify_records_errors_and_exits_nonzero(tmp_path):
         {"op": "no_such_op"},
         {"op": "recursion", "model": "brownian", "beta": 0.9, "n": 16},
         {"op": "recursion", "model": "brownian", "beta": 0.25, "n": 1},
+        {"op": "resolvent", "model": "brownian", "lambda": -1.0, "n": 200},
+        {"op": "entrance_law", "model": "brownian", "t": -1.0, "n": 200},
     ]}))
     out = tmp_path / "report.json"
     code = cli.main(["verify", "--suite", str(suite), "--out", str(out)])
     assert code == 1
     doc = json.loads(out.read_text())
-    assert doc["failed"] == 3
+    assert doc["failed"] == 5
     assert "error" in doc["checks"][0]
     assert "HypothesisViolated" in doc["checks"][1]["error"]
     assert "TooFewSamples" in doc["checks"][2]["error"]
+    assert doc["checks"][3]["error"] == \
+        "ValueError: lambda must be finite and > 0, got -1.0"
+    assert doc["checks"][4]["error"] == \
+        "ValueError: t must be finite and > 0, got -1.0"
 
 
 def test_verify_suite_file_errors(tmp_path):

@@ -75,11 +75,23 @@ def test_mixed_scaling_multi_seed_ks():
     assert bad["rate"] <= 0.5
 
 
-@pytest.mark.parametrize("name", ["mixed", "two_sided"])
+def _two_components() -> LevyModel:
+    """Killed Brownian motion plus upward Exp(3) jumps and downward jumps
+    of 0.5, each at rate 0.5: the engine picks each jump's component."""
+    return LevyModel(drift=0.0, gaussian=1.0,
+                     jumps=(CompoundPoisson(rate=0.5,
+                                            law=Exponential(rate=3.0)),
+                            CompoundPoisson(rate=0.5,
+                                            law=PointMass(-0.5))),
+                     killing=0.125, alpha=1.0)
+
+
+@pytest.mark.parametrize("name", ["mixed", "two_sided", "two_components"])
 def test_engine_I_matches_per_path_sampler(name):
     # I from the batch engine against t0 = A(zeta) of single paths from
     # sample_levy_path, the reference sampler, on an independent stream
-    model = _mixed() if name == "mixed" else catalog.two_sided()
+    model = {"mixed": _mixed, "two_sided": catalog.two_sided,
+             "two_components": _two_components}[name]()
     n = 2000
     engine_i, censored = sample_I_batch(model, n, CFG)
     rng = CFG.substream(1).rng()

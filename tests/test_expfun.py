@@ -16,6 +16,7 @@ from pssmplab.errors import (
     NotDriftingUp,
 )
 from pssmplab.expfun import (
+    CheckReport,
     dual_identity_check,
     moment,
     negative_moment_check,
@@ -140,3 +141,16 @@ def test_reports_serialize():
     assert set(doc) == {"lhs", "rhs", "se", "z", "n", "censored"}
     est = moment(catalog.pure_drift(), 0.5, 8, CFG)
     assert set(est.to_json()) == {"value", "se", "n", "censored", "note"}
+
+
+@pytest.mark.parametrize("lhs, rhs, se", [
+    (math.nan, 1.0, math.nan), (1.0, math.nan, 0.1), (1.0, 2.0, math.nan),
+    (math.inf, 1.0, 0.1), (1.0, 1.0, math.inf)])
+def test_check_report_z_is_nan_unless_all_finite(lhs, rhs, se):
+    # a non-finite side or SE must never read as a passing z
+    rep = CheckReport(lhs=lhs, rhs=rhs, std_err=se, n=10, censored=0)
+    assert math.isnan(rep.z_score)
+    assert not rep.z_score < 4.0
+    # se = 0 with finite sides stays z = 0: both sides are exact
+    assert CheckReport(lhs=1.0, rhs=1.0, std_err=0.0, n=10,
+                       censored=0).z_score == 0.0

@@ -203,3 +203,21 @@ def test_resolvent_crosscheck_rejects_f_nonzero_at_probe_ends(spec,
     monkeypatch.setattr(extensions, "sample_I_batch", no_sampling)
     with pytest.raises(ValueError, match="function f is nonzero"):
         resolvent_crosscheck(catalog.brownian(), 1.0, spec, 5000, CFG)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_out_of_domain_lambda_and_t_are_rejected_before_sampling(
+        bad, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the domain check")
+
+    monkeypatch.setattr(extensions, "sample_J_batch", no_sampling)
+    monkeypatch.setattr(extensions, "sample_I_batch", no_sampling)
+    bump = {"kind": "bump", "a": 0.5, "b": 1.5}
+    with pytest.raises(ValueError, match="lambda must be finite and > 0"):
+        resolvent_crosscheck(catalog.brownian(), bad, bump, 100, CFG)
+    with pytest.raises(ValueError, match="t must be finite and > 0"):
+        entrance_law_curve(catalog.brownian(), np.array([1.0, bad]),
+                           {"kind": "one"}, 100, CFG)
+    with pytest.raises(ValueError, match="t must be finite and > 0"):
+        entrance_law(catalog.brownian(), bad, {"kind": "one"}, 100, CFG)

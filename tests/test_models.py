@@ -80,6 +80,10 @@ def test_cramer_root_absent():
     assert rep.theta is None
     assert rep.continuous_extension_exists is False
     assert rep.jump_in_range == (0.0, 1.0)
+    assert rep.to_json() == {
+        "domain_sup": "inf", "theta": None, "psi_prime_at_theta": None,
+        "alpha_theta": None, "jump_in_range": [0.0, 1.0],
+        "continuous_extension_exists": False, "condition4_finite": None}
 
 
 def test_cramer_root_requires_hitting_zero():
@@ -172,6 +176,11 @@ def test_esscher_rejects_non_root():
         esscher(m, 0.3)
     with pytest.raises(TiltOutsideDomain):
         esscher(catalog.two_sided(), 3.0)
+    # upward Exp(2) jumps: psi is +inf from lam = 2 on
+    up = LevyModel(drift=-1.0, killing=0.5,
+                   jumps=(CompoundPoisson(1.0, Exponential(2.0)),))
+    with pytest.raises(TiltOutsideDomain):
+        esscher(up, 2.5)
 
 
 def test_dual_negates_exponent():
@@ -193,15 +202,14 @@ def test_classify_beta():
 
 def test_jump_law_tilts():
     law = Exponential(rate=2.0)
-    mass, tilted = law.tilted(0.5)
-    assert mass == pytest.approx(2.0 / 1.5)
-    assert tilted.rate == pytest.approx(1.5)
-    with pytest.raises(TiltOutsideDomain):
-        law.tilted(2.5)
+    assert law.tilted(0.5) == Exponential(rate=1.5)
     pm = PointMass(0.7)
-    mass, same = pm.tilted(1.0)
-    assert mass == pytest.approx(math.exp(0.7))
-    assert same is pm
+    assert pm.tilted(1.0) is pm
+    # the tilted component carries the law's mass at theta in its rate
+    for jl in (law, pm, TwoSidedExponential(2.0, 1.0, 0.25)):
+        cp = CompoundPoisson(0.8, jl).tilted(0.5)
+        assert cp.rate == 0.8 * jl.mgf(0.5)
+        assert cp.law == jl.tilted(0.5)
 
 
 def test_jump_law_reflection():
