@@ -90,9 +90,12 @@ def _suite_model(check: dict) -> LevyModel:
     if "model_file" in check:
         return load_model(check["model_file"])
     if "model" in check:
-        if isinstance(check["model"], str):
-            return getattr(catalog, check["model"])()
-        return model_from_dict(check["model"])
+        name = check["model"]
+        if isinstance(name, str):
+            if name not in catalog.__all__:
+                raise ModelFileError(f"model: unknown catalog model {name!r}")
+            return getattr(catalog, name)()
+        return model_from_dict(name)
     raise ModelFileError("check needs 'model' or 'model_file'")
 
 

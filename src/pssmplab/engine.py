@@ -15,16 +15,33 @@ stopped by a jump) is below rel_tol of the running total.  In marginal
 mode the kernel also stops each path where A crosses its target.  The
 horizon is read at the end of each window, so a censored path may run past
 it by up to one window.
+
+Draw order.  A run first draws each path's killing time zeta, then its
+first jump epoch.  A model with jumps then draws, per window, the window's
+(m, k) normals, then the jump sizes and next epochs of the paths that
+jumped in it, all on the calling thread.  A jump-free Gaussian run draws
+nothing after zeta but the normals, so they are one stream, of which each
+window takes the next m*k in C order as its (m, k) block.  From its second
+window on, while the kernel runs a window whose m*k normals fill at least
+one kernel column block, one worker thread draws the next window's
+normals: m*k of them, enough for any k' <= k live paths, less those left
+over.  Philox is counter-based, so filling its stream in pieces gives the
+bits one draw gives: the result is the same as drawing each window's
+block inline.  The worker is started when first needed and joined before
+the run returns, also when the kernel raises.  A model without a Gaussian
+part draws no normals: its one-row window takes zeros.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._kernels._py import _BLOCK_CELLS
 from .models import LevyModel
 from .paths import SimConfig
 
@@ -73,6 +90,55 @@ def _draw_jump_sizes(specs, rates, total_rate, rng, k):
     return sizes
 
 
+class _GaussNormals:
+    """The normals of a jump-free Gaussian run, in stream order, filled
+    into two preallocated buffers in turn: the next window's draw and the
+    leftover go into the buffer that the kernel is not reading."""
+
+    def __init__(self, rng, m, n):
+        self.rng, self.m = rng, m
+        self.bufs = [np.empty(m * n), np.empty(m * n)]
+        self.have = 0        # drawn, unused normals at the front of bufs[0]
+        self.started = False
+        self.pool = None
+        self.pending = None
+
+    def take(self, k):
+        """The next window's (m, k) block, valid until the next call."""
+        need = self.m * k
+        cur, nxt = self.bufs
+        if self.pending is not None:
+            self.pending.result()
+            self.pending = None
+        if self.have < need:
+            self.rng.standard_normal(out=cur[self.have:need])
+            self.have = need
+        rest = self.have - need
+        nxt[:rest] = cur[need:self.have]
+        self.have = rest
+        # draw ahead from the second window on, as many runs end in their
+        # first, and only for a window that fills a column block: a thread
+        # handoff costs more than a small draw, and the last small windows
+        # use up the leftover
+        if self.started and need >= _BLOCK_CELLS and rest < need:
+            if self.pool is None:
+                self.pool = ThreadPoolExecutor(max_workers=1)
+            self.pending = self.pool.submit(self.rng.standard_normal,
+                                            out=nxt[rest:need])
+            self.have = need
+        self.started = True
+        self.bufs.reverse()
+        return cur[:need].reshape(self.m, k)
+
+    def close(self):
+        """Join the worker once its last draw is done; a failed draw
+        raises here."""
+        if self.pool is not None:
+            self.pool.shutdown()
+        if self.pending is not None:
+            self.pending.result()
+
+
 def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
     """A, xi and the status of n paths, each where its path stopped."""
     sigma = math.sqrt(model.gaussian)
@@ -94,42 +160,54 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
     out = np.zeros((2, n))
     status = np.full(n, CENSORED, dtype=np.int8)
 
-    while live.size:
-        k = live.size
-        normals = rng.standard_normal((m, k)) if sigma > 0 \
-            else np.zeros((m, k))
-        st = np.zeros(k, np.int8)
-        _kernels.advance_window(x, a, t, w, st, np.minimum(zeta, jump_at),
-                                tgt, normals, float(model.drift), sigma,
-                                float(step), 1.0 / model.alpha, float(sign),
-                                mode)
-        # stopped at a jump epoch rather than at zeta: jump and go on
-        jumped = (st == KILLED) & (jump_at < zeta)
-        # convergence is read after a full window, or at a jump once a
-        # window's time has passed since the last reading, never on a
-        # window that a jump cut short
-        due = (st == 0) | (jumped & (t >= next_check))
-        ji = np.flatnonzero(jumped)
-        if ji.size:
-            st[ji] = 0
-            x[ji] += _draw_jump_sizes(model.jumps, rates, total_rate, rng,
-                                      ji.size)
-            jump_at[ji] = t[ji] + rng.exponential(1.0 / total_rate, ji.size)
-        conv = due & (zeta == np.inf) & (t >= _MIN_TIME) & (w < rel_tol * a)
-        st[conv] = CONVERGED
-        reset = due & ~conv
-        w[reset] = 0.0
-        next_check[reset] = t[reset] + span
-        st[(st == 0) & (t >= horizon)] = CENSORED
-        finished = st != 0
-        if finished.any():
-            idx = live[finished]
-            out[:, idx] = np.compress(finished, state[:2], axis=1)
-            status[idx] = st[finished]
-            keep = ~finished
-            live = live[keep]
-            state = np.compress(keep, state, axis=1)
-            x, a, t, w, zeta, jump_at, next_check, tgt = state
+    gauss = _GaussNormals(rng, m, n) if sigma > 0 and not model.jumps \
+        else None
+    try:
+        while live.size:
+            k = live.size
+            if gauss is not None:
+                normals = gauss.take(k)
+            elif sigma > 0:
+                normals = rng.standard_normal((m, k))
+            else:
+                normals = np.zeros((m, k))
+            st = np.zeros(k, np.int8)
+            _kernels.advance_window(x, a, t, w, st,
+                                    np.minimum(zeta, jump_at), tgt, normals,
+                                    float(model.drift), sigma, float(step),
+                                    1.0 / model.alpha, float(sign), mode)
+            # stopped at a jump epoch rather than at zeta: jump and go on
+            jumped = (st == KILLED) & (jump_at < zeta)
+            # convergence is read after a full window, or at a jump once a
+            # window's time has passed since the last reading, never on a
+            # window that a jump cut short
+            due = (st == 0) | (jumped & (t >= next_check))
+            ji = np.flatnonzero(jumped)
+            if ji.size:
+                st[ji] = 0
+                x[ji] += _draw_jump_sizes(model.jumps, rates, total_rate,
+                                          rng, ji.size)
+                jump_at[ji] = t[ji] + rng.exponential(1.0 / total_rate,
+                                                      ji.size)
+            conv = (due & (zeta == np.inf) & (t >= _MIN_TIME) &
+                    (w < rel_tol * a))
+            st[conv] = CONVERGED
+            reset = due & ~conv
+            w[reset] = 0.0
+            next_check[reset] = t[reset] + span
+            st[(st == 0) & (t >= horizon)] = CENSORED
+            finished = st != 0
+            if finished.any():
+                idx = live[finished]
+                out[:, idx] = np.compress(finished, state[:2], axis=1)
+                status[idx] = st[finished]
+                keep = ~finished
+                live = live[keep]
+                state = np.compress(keep, state, axis=1)
+                x, a, t, w, zeta, jump_at, next_check, tgt = state
+    finally:
+        if gauss is not None:
+            gauss.close()
     return out[1], out[0], status
 
 

@@ -194,7 +194,7 @@ class PointMass:
             return math.inf
 
     def mgf_derivative(self, lam: float) -> float:
-        return self.value * math.exp(lam * self.value)
+        return self.value * self.mgf(lam)
 
     def tilted(self, theta: float) -> "PointMass":
         return self

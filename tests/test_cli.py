@@ -159,6 +159,19 @@ def test_verify_records_errors_and_exits_nonzero(tmp_path):
         "ValueError: t must be finite and > 0, got -1.0"
 
 
+def test_suite_model_name_must_be_a_catalog_model():
+    # catalog attributes that are not catalog models are unknown names
+    report = cli.run_suite({"checks": [
+        {"op": "recursion", "model": name, "beta": 0.25, "n": 16}
+        for name in ("LevyModel", "tempered_power_killing_for_root")]},
+        seed=0)
+    assert report["failed"] == 2
+    assert [c["error"] for c in report["checks"]] == [
+        "ModelFileError: model: unknown catalog model 'LevyModel'",
+        "ModelFileError: model: unknown catalog model "
+        "'tempered_power_killing_for_root'"]
+
+
 def test_verify_suite_file_errors(tmp_path):
     assert cli.main(["verify", "--suite", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"

@@ -1,13 +1,18 @@
 """The batch engine across model classes: oracle checks for the mixed class
 (Gaussian part and jumps together), agreement of the engine's I draws with
-the per-path sampler, and the convergence rule when jumps cut windows
-short."""
+the per-path sampler, the convergence rule when jumps cut windows short,
+and the draw order of a jump-free Gaussian run, whose normals a worker
+thread draws ahead."""
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from pssmplab import catalog
-from pssmplab.engine import functional_batch
+from pssmplab import catalog, engine
+from pssmplab.engine import functional_batch, marginal_batch
 from pssmplab.expfun import (
     dual_identity_check,
     negative_moment_check,
@@ -20,6 +25,7 @@ from pssmplab.models import (
     LevyModel,
     PointMass,
     cramer_root,
+    esscher,
 )
 from pssmplab.paths import SimConfig, sample_levy_path
 from pssmplab.verify import ks_two_sample, multi_seed_ks, scaling_test
@@ -117,3 +123,85 @@ def test_window_cut_short_by_a_jump_is_not_read_as_convergence():
     tight = functional_batch(model, -1.0, 1, CFG, rel_tol=1e-12)
     assert not loose.censored[0] and not tight.censored[0]
     assert abs(loose.values[0] - tight.values[0]) < 1e-5 * tight.values[0]
+
+
+def _record_windows(monkeypatch, fail_on=None):
+    """Wrap the kernel: keep a copy of each window's normals and the thread
+    count while the window runs; raise on call number fail_on."""
+    kernel = engine._kernels.advance_window
+    blocks, threads = [], []
+
+    def recording(*args):
+        normals = args[7]
+        blocks.append(normals.copy())
+        threads.append(threading.active_count())
+        if len(blocks) == fail_on:
+            raise RuntimeError("kernel failed")
+        kernel(*args)
+        # no draw wrote into the block while the kernel read it
+        assert np.array_equal(normals, blocks[-1])
+
+    monkeypatch.setattr(engine._kernels, "advance_window", recording)
+    return blocks, threads
+
+
+@pytest.mark.parametrize("case", ["I_below_block", "I_above_block", "J",
+                                  "marginal"])
+def test_gaussian_normals_are_one_stream_in_window_order(monkeypatch, case):
+    # each window's (m, k) block is the next m*k normals of the stream that
+    # follows the set-up draws, in C order, whether or not drawn ahead
+    brownian = catalog.brownian()
+    model, n = {"I_below_block": (brownian, 100),
+                "I_above_block": (brownian, 3000),
+                "J": (esscher(brownian, 0.5), 3000),
+                "marginal": (brownian, 3000)}[case]
+    blocks, threads = _record_windows(monkeypatch)
+    if case == "marginal":
+        targets = CFG.substream(1).rng().exponential(2.0, n)
+        marginal_batch(model, targets, CFG)
+    else:
+        functional_batch(model, -1.0 if case == "J" else 1.0, n, CFG)
+    assert len(blocks) > 2
+    # the worker drew ahead exactly in the runs above one block
+    assert max(threads) - threads[0] == (case != "I_below_block")
+    rng = CFG.rng()
+    if model.killing > 0:
+        rng.exponential(1.0 / model.killing, n)
+    drawn = np.concatenate([b.ravel() for b in blocks])
+    expected = rng.standard_normal(drawn.size)
+    assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
+
+def test_no_thread_outlives_a_run(monkeypatch):
+    before = threading.active_count()
+    _, threads = _record_windows(monkeypatch)
+    functional_batch(catalog.brownian(), 1.0, 3000, CFG)
+    assert max(threads) == before + 1  # the worker drew ahead
+    assert threading.active_count() == before
+    # the kernel raises on its third window, while the worker draws the
+    # fourth window's normals: the error propagates and the worker is gone
+    _, threads = _record_windows(monkeypatch, fail_on=3)
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        functional_batch(catalog.brownian(), 1.0, 3000, CFG)
+    assert threads[-1] == before + 1
+    assert threading.active_count() == before
+
+
+def test_concurrent_runs_each_draw_their_own_stream():
+    # four runs that draw ahead, on more threads than cores and with a short
+    # switch interval: each equals the same run made alone
+    configs = [SimConfig(dt=0.01, horizon=400.0, seed=s) for s in range(4)]
+
+    def run(cfg):
+        return functional_batch(catalog.brownian(), 1.0, 3000, cfg).values
+
+    alone = [run(cfg) for cfg in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            together = list(pool.map(run, configs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(alone, together):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))

@@ -125,6 +125,17 @@ def test_psi_beyond_float_range_is_inf():
     assert rep.condition4_finite
 
 
+@pytest.mark.parametrize("value, lam, slope", [(2.0, 400.0, math.inf),
+                                               (-2.0, -400.0, -math.inf)])
+def test_psi_derivative_beyond_float_range_is_inf(value, lam, slope):
+    # the point-mass term overflows: psi is +inf, psi' infinite with the
+    # sign of the jump
+    m = LevyModel(drift=-1.0, killing=0.5,
+                  jumps=(CompoundPoisson(1.0, PointMass(value)),))
+    assert m.psi(lam) == math.inf
+    assert m.psi_derivative(lam) == slope
+
+
 def test_esscher_keeps_the_rate_of_a_massless_side():
     # downward Exp(2) jumps written as a two-sided law with p_pos = 0: its
     # rate_pos = 1.5 bounds nothing, and the root sqrt(6) lies beyond it
