@@ -31,7 +31,6 @@ from .models import (
     LevyModel,
     PointMass,
     TemperedPower,
-    TwoSidedExponential,
     cramer_root,
     dual,
     esscher,

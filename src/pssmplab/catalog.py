@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from .models import (
     CompoundPoisson,
+    Exponential,
     LevyModel,
     TemperedPower,
-    TwoSidedExponential,
     tempered_power_killing_for_root,
 )
 
@@ -21,15 +21,13 @@ def brownian() -> LevyModel:
 
 
 def two_sided() -> LevyModel:
-    """Killed drift plus two-sided exponential jumps.  With no Gaussian
-    part, paths are exact: straight drift segments between exact jump
-    epochs (no time-discretization error)."""
+    """Killed drift plus upward Exp(2) and downward Exp(1) jumps, each at
+    rate 1/2.  With no Gaussian part, paths are exact: straight drift
+    segments between exact jump epochs (no time-discretization error)."""
     return LevyModel(
         drift=-1.0, gaussian=0.0,
-        jumps=(CompoundPoisson(rate=1.0,
-                               law=TwoSidedExponential(rate_pos=2.0,
-                                                       rate_neg=1.0,
-                                                       p_pos=0.5)),),
+        jumps=(CompoundPoisson(0.5, Exponential(2.0)),
+               CompoundPoisson(0.5, Exponential(1.0, -1))),
         killing=1.0 / 3.0, alpha=0.5)
 
 

@@ -197,7 +197,11 @@ def default_suite() -> dict:
 
 
 def run_suite(suite: dict, seed: int, threads: int = 1) -> dict:
+    if not isinstance(suite, dict):
+        raise ModelFileError("$: expected a JSON object")
     checks = suite.get("checks", [])
+    if not isinstance(checks, list):
+        raise ModelFileError("$.checks: expected an array")
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         futures = [pool.submit(_run_check, c, seed, 1000 * i)
                    for i, c in enumerate(checks)]

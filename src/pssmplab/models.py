@@ -49,7 +49,6 @@ from .errors import (
 
 __all__ = [
     "Exponential",
-    "TwoSidedExponential",
     "PointMass",
     "CompoundPoisson",
     "TemperedPower",
@@ -113,68 +112,6 @@ class Exponential:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.sign * rng.exponential(1.0 / self.rate, size=size)
-
-
-@dataclass(frozen=True)
-class TwoSidedExponential:
-    """Mixture of an upward Exp(rate_pos) and a downward Exp(rate_neg) jump."""
-
-    rate_pos: float
-    rate_neg: float
-    p_pos: float
-
-    def __post_init__(self):
-        if self.rate_pos <= 0 or self.rate_neg <= 0:
-            raise ValueError("two-sided exponential rates must be > 0")
-        if not 0.0 <= self.p_pos <= 1.0:
-            raise ValueError("p_pos must be in [0, 1]")
-
-    @property
-    def domain_sup(self) -> float:
-        return self.rate_pos if self.p_pos > 0 else math.inf
-
-    def mgf(self, lam: float) -> float:
-        out = 0.0
-        if self.p_pos > 0:
-            if lam >= self.rate_pos:
-                return math.inf
-            out += self.p_pos * self.rate_pos / (self.rate_pos - lam)
-        if self.p_pos < 1:
-            if lam <= -self.rate_neg:
-                return math.inf
-            out += (1 - self.p_pos) * self.rate_neg / (self.rate_neg + lam)
-        return out
-
-    def mgf_derivative(self, lam: float) -> float:
-        if not math.isfinite(self.mgf(lam)):
-            return math.inf
-        out = 0.0
-        if self.p_pos > 0:
-            out += self.p_pos * self.rate_pos / (self.rate_pos - lam) ** 2
-        if self.p_pos < 1:
-            out -= (1 - self.p_pos) * self.rate_neg / (self.rate_neg + lam) ** 2
-        return out
-
-    def tilted(self, theta: float) -> "TwoSidedExponential":
-        m = self.mgf(theta)
-        mp = self.p_pos * self.rate_pos / (self.rate_pos - theta) if self.p_pos > 0 else 0.0
-        # a side with no mass keeps its rate: its domain bound is not real
-        return TwoSidedExponential(
-            self.rate_pos - theta if self.p_pos > 0 else self.rate_pos,
-            self.rate_neg + theta if self.p_pos < 1 else self.rate_neg,
-            mp / m)
-
-    def reflected(self) -> "TwoSidedExponential":
-        return TwoSidedExponential(self.rate_neg, self.rate_pos, 1.0 - self.p_pos)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        up = rng.random(size) < self.p_pos
-        out = np.where(
-            up,
-            rng.exponential(1.0 / self.rate_pos, size=size),
-            -rng.exponential(1.0 / self.rate_neg, size=size),
-        )
-        return out
 
 
 @dataclass(frozen=True)
@@ -602,9 +539,7 @@ def _sign(doc: dict, key: str, path: str) -> int:
 
 # the model-file name of each jump law and jump component; a part's other
 # fields are written under their own names
-_LAWS = {"exponential": Exponential,
-         "two_sided_exponential": TwoSidedExponential,
-         "point_mass": PointMass}
+_LAWS = {"exponential": Exponential, "point_mass": PointMass}
 _JUMPS = {"compound_poisson": CompoundPoisson, "tempered_power": TemperedPower}
 _TYPE_NAMES = {cls: name for table in (_LAWS, _JUMPS)
                for name, cls in table.items()}

@@ -170,6 +170,8 @@ def sample_increment_batch(model: LevyModel, t: float, n: int,
     totals are exact Poisson sums.  Returns (values, killed) where values[killed] are left in place but only
     surviving draws enter E(e^{lam xi_t}, t < zeta) estimates.
     """
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     if t > config.horizon:
         raise ValueError("t must not exceed the configured horizon")
     rng = config.rng()

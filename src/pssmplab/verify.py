@@ -85,6 +85,8 @@ def multi_seed_ks(sampler: Callable[[int], KsReport],
                   seeds: int = 100) -> dict:
     """Run a seeded KS check across many seeds; single-seed acceptance is
     itself random, so the rule is a pass *rate* at KS_LEVEL."""
+    if seeds < 1:
+        raise TooFewSamples(f"a pass rate needs at least 1 seed, got {seeds}")
     passes = 0
     for s in range(seeds):
         if sampler(s).p_value > KS_LEVEL:

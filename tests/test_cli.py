@@ -6,6 +6,7 @@ import math
 import pytest
 
 from pssmplab import cli
+from pssmplab.errors import ModelFileError
 from pssmplab.models import model_to_dict
 from pssmplab import catalog
 
@@ -177,6 +178,12 @@ def test_verify_suite_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert cli.main(["verify", "--suite", str(bad)]) == 2
+    for doc, err in [([], r"\$: expected a JSON object"),
+                     ({"checks": {}}, r"\$\.checks: expected an array")]:
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["verify", "--suite", str(bad)]) == 2
+        with pytest.raises(ModelFileError, match=err):
+            cli.run_suite(doc, seed=0)
 
 
 def test_default_suite_passes():

@@ -23,7 +23,6 @@ from pssmplab.models import (
     LevyModel,
     PointMass,
     TemperedPower,
-    TwoSidedExponential,
     classify_beta,
     cramer_root,
     dual,
@@ -42,10 +41,11 @@ def test_brownian_psi_closed_form():
 
 
 def test_compound_poisson_psi_matches_mgf():
-    law = TwoSidedExponential(rate_pos=2.0, rate_neg=1.0, p_pos=0.5)
+    up, down = Exponential(2.0), Exponential(1.0, -1)
     m = catalog.two_sided()
     for lam in [-0.5, 0.1, 1.0, 1.9]:
-        expect = -1.0 / 3.0 - lam + 1.0 * (law.mgf(lam) - 1.0)
+        expect = -1.0 / 3.0 - lam + 0.5 * (up.mgf(lam) - 1.0) \
+            + 0.5 * (down.mgf(lam) - 1.0)
         assert m.psi(lam) == pytest.approx(expect, rel=1e-12)
     # outside the finiteness domain psi is encoded as +inf
     assert m.psi(2.5) == math.inf
@@ -136,20 +136,6 @@ def test_psi_derivative_beyond_float_range_is_inf(value, lam, slope):
     assert m.psi_derivative(lam) == slope
 
 
-def test_esscher_keeps_the_rate_of_a_massless_side():
-    # downward Exp(2) jumps written as a two-sided law with p_pos = 0: its
-    # rate_pos = 1.5 bounds nothing, and the root sqrt(6) lies beyond it
-    law = TwoSidedExponential(rate_pos=1.5, rate_neg=2.0, p_pos=0.0)
-    m = LevyModel(drift=-1.0, gaussian=1.0,
-                  jumps=(CompoundPoisson(1.0, law),))
-    theta = cramer_root(m).theta
-    assert theta == pytest.approx(math.sqrt(6.0), abs=1e-9)
-    tilted = esscher(m, theta)
-    assert tilted.jumps[0].law.rate_pos == 1.5
-    for lam in [-1.0, 0.0, 1.0]:
-        assert tilted.psi(lam) == pytest.approx(m.psi(lam + theta), abs=1e-9)
-
-
 def test_tempered_power_killing_for_root():
     kappa = tempered_power_killing_for_root(1.0, 0.75, 0.01)
     assert kappa > 0
@@ -217,16 +203,17 @@ def test_jump_law_tilts():
     pm = PointMass(0.7)
     assert pm.tilted(1.0) is pm
     # the tilted component carries the law's mass at theta in its rate
-    for jl in (law, pm, TwoSidedExponential(2.0, 1.0, 0.25)):
+    for jl in (law, pm, Exponential(1.0, -1)):
         cp = CompoundPoisson(0.8, jl).tilted(0.5)
         assert cp.rate == 0.8 * jl.mgf(0.5)
         assert cp.law == jl.tilted(0.5)
 
 
 def test_jump_law_reflection():
-    law = TwoSidedExponential(2.0, 1.0, 0.25)
+    law = Exponential(2.0)
     r = law.reflected()
-    assert (r.rate_pos, r.rate_neg, r.p_pos) == (1.0, 2.0, 0.75)
+    assert r == Exponential(2.0, -1)
+    assert r.reflected() == law
     for lam in [-1.5, -0.3, 0.0, 0.4, 0.9]:
         assert r.mgf(lam) == pytest.approx(law.mgf(-lam), rel=1e-15)
 
@@ -246,6 +233,14 @@ def test_model_from_dict_error_paths():
     with pytest.raises(ModelFileError, match=r"jumps\[0\]"):
         model_from_dict({"drift": 0.0, "gaussian": 0.0, "killing": 0.0,
                          "alpha": 1.0, "jumps": [{"type": "nope"}]})
+    with pytest.raises(ModelFileError,
+                       match=r"jumps\[0\]\.law\.type: unknown jump law"):
+        model_from_dict({"drift": 0.0, "gaussian": 0.0, "killing": 0.0,
+                         "alpha": 1.0, "jumps": [
+                             {"type": "compound_poisson", "rate": 1.0,
+                              "law": {"type": "two_sided_exponential",
+                                      "rate_pos": 2.0, "rate_neg": 1.0,
+                                      "p_pos": 0.5}}]})
     with pytest.raises(ModelFileError, match="number"):
         model_from_dict({"drift": "x", "gaussian": 0.0, "killing": 0.0,
                          "alpha": 1.0})
@@ -295,13 +290,13 @@ def test_jump_sampler_laws():
     rng = np.random.default_rng(5)
     x = TemperedPower(q=1.0, beta=0.75, delta=0.01).sample_sizes(rng, 5000)
     assert (x > 0.01).all() or (x >= 0.01).all()
-    y = TwoSidedExponential(2.0, 1.0, 0.5).sample(rng, 5000)
-    frac_up = (y > 0).mean()
-    assert abs(frac_up - 0.5) < 0.05
+    y = Exponential(2.0, -1).sample(rng, 5000)
+    assert (y < 0).all()
+    assert abs(y.mean() + 0.5) < 4.0 * 0.5 / math.sqrt(y.size)
 
 
 # ---------------------------------------------------------------------------
-# properties on random valid models mixing all four jump laws
+# properties on random valid models mixing every jump law and component
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None,
@@ -311,8 +306,6 @@ _rate = st.floats(0.2, 5.0)
 _sign = st.sampled_from([1, -1])
 _law = st.one_of(
     st.builds(Exponential, _rate, _sign),
-    st.builds(TwoSidedExponential, _rate, _rate,
-              st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
     st.builds(PointMass, st.floats(-3.0, 3.0)),
 )
 _jump = st.one_of(
@@ -358,8 +351,6 @@ def _condition4_rule(model, theta):
             ok = j.sign < 0 or theta < j.q
         elif isinstance(j.law, Exponential):
             ok = j.law.sign < 0 or theta < j.law.rate
-        elif isinstance(j.law, TwoSidedExponential):
-            ok = j.law.p_pos == 0 or theta < j.law.rate_pos
         else:
             ok = True
         if not ok:
@@ -378,11 +369,7 @@ def test_property_psi_is_convex(m, a, b):
 @PROPERTY
 @given(levy_models(), st.floats(-4.0, 4.0))
 def test_property_dual_is_an_involution(m, lam):
-    back = dual(dual(m))
-    assert (back.drift, back.gaussian, back.killing, back.alpha) == \
-        (m.drift, m.gaussian, m.killing, m.alpha)
-    # two-sided laws store 1 - (1 - p_pos), which can round in the last bit
-    assert back.psi(lam) == pytest.approx(m.psi(lam), rel=1e-12, abs=1e-12)
+    assert dual(dual(m)) == m
     assert dual(m).psi(lam) == pytest.approx(m.psi(-lam), rel=1e-12,
                                              abs=1e-12)
 

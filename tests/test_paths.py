@@ -114,6 +114,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         sample_increment_batch(catalog.brownian(), 20.0, 10,
                                SimConfig(dt=0.01, horizon=10.0))
+    for t in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            sample_increment_batch(catalog.brownian(), t, 5, SimConfig())
 
 
 def test_substream_offsets_stream_id():

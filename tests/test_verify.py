@@ -39,6 +39,9 @@ def test_multi_seed_ks_rule():
     assert rep == {"passes": 10, "seeds": 10, "level": 0.01, "rate": 1.0}
     rep = multi_seed_ks(lambda s: KsReport(1.0, 0.0, 100, 100), seeds=10)
     assert rep["rate"] == 0.0
+    for seeds in (0, -3):
+        with pytest.raises(TooFewSamples):
+            multi_seed_ks(lambda s: KsReport(0.0, 1.0, 100, 100), seeds=seeds)
 
 
 def test_scaling_test_brownian():
