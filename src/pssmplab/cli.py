@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from scipy import special
@@ -26,7 +26,7 @@ from .expfun import (
     negative_moment_check,
     recursion_check,
 )
-from .lamperti import levy_to_pssmp
+from .lamperti import _check_positive, levy_to_pssmp
 from .models import LevyModel, cramer_root, load_model, model_from_dict
 from .paths import SimConfig, sample_levy_path
 
@@ -117,13 +117,13 @@ _Z_CHECKS = {
 
 def _run_check(check: dict, seed: int, stream_base: int) -> dict:
     op = check.get("op")
-    n = int(check.get("n", 20000))
-    z_max = float(check.get("z_max", 4.0))
-    cfg = SimConfig(dt=float(check.get("dt", SimConfig.dt)),
-                    horizon=float(check.get("horizon", SimConfig.horizon)),
-                    seed=seed, stream_id=stream_base)
     out = {"op": op}
     try:
+        n = int(check.get("n", 20000))
+        z_max = float(check.get("z_max", 4.0))
+        cfg = SimConfig(dt=float(check.get("dt", SimConfig.dt)),
+                        horizon=float(check.get("horizon", SimConfig.horizon)),
+                        seed=seed, stream_id=stream_base)
         if op in _Z_CHECKS:
             rep = _Z_CHECKS[op](_suite_model(check), check, n, cfg)
             out.update(rep.to_json())
@@ -155,12 +155,9 @@ def _run_check(check: dict, seed: int, stream_base: int) -> dict:
             alpha_override = check.get("alpha_override")
 
             def one(s):
-                c2 = SimConfig(dt=cfg.dt, horizon=cfg.horizon,
-                               seed=seed + 7919 * (s + 1),
-                               stream_id=stream_base)
+                c2 = replace(cfg, seed=seed + 7919 * (s + 1))
                 return verify.scaling_test(
-                    model, x, c, [t], n, c2,
-                    alpha_override=alpha_override)[0]
+                    model, x, c, t, n, c2, alpha_override=alpha_override)
 
             rep = verify.multi_seed_ks(one, seeds=seeds)
             out.update(rep)
@@ -172,7 +169,7 @@ def _run_check(check: dict, seed: int, stream_base: int) -> dict:
                 dx=float(check.get("dx", 0.05)),
                 t_max=float(check.get("t_max", 200.0)))
             g = check.get("g", {"kind": "indicator", "a": 0.0, "b": 1.0})
-            res = verify.renewal_limit(problem, g, [problem.t_max])[0]
+            res = verify.renewal_limit(problem, g)
             tol = float(check.get("rel_tol", 0.15))
             out.update(res)
             out["pass"] = abs(res["value"] - res["target"]) \
@@ -202,6 +199,9 @@ def run_suite(suite: dict, seed: int, threads: int = 1) -> dict:
     checks = suite.get("checks", [])
     if not isinstance(checks, list):
         raise ModelFileError("$.checks: expected an array")
+    for i, c in enumerate(checks):
+        if not isinstance(c, dict):
+            raise ModelFileError(f"$.checks[{i}]: expected an object")
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         futures = [pool.submit(_run_check, c, seed, 1000 * i)
                    for i, c in enumerate(checks)]
@@ -215,21 +215,29 @@ def run_suite(suite: dict, seed: int, threads: int = 1) -> dict:
 # simulate
 
 
+def _simulate_configs(kind: str, args):
+    """SimConfig, ExtensionConfig or None; a ValueError names a bad flag."""
+    if args.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {args.samples}")
+    _check_positive("x0", args.x0)
+    ecfg = extensions.ExtensionConfig(
+        mode=args.mode, epsilon=args.epsilon, horizon=args.ext_horizon,
+        beta=args.beta) if kind == "extension" else None
+    return SimConfig(dt=args.dt, horizon=args.horizon, seed=args.seed), ecfg
+
+
 def simulate(model: LevyModel, kind: str, args, out_path: str) -> List[str]:
+    cfg, ecfg = _simulate_configs(kind, args)
     lines = []
     for i in range(args.samples):
-        cfg = SimConfig(dt=args.dt, horizon=args.horizon, seed=args.seed,
-                        stream_id=i)
+        sample_cfg = cfg.substream(i)
         if kind == "levy":
-            rec = sample_levy_path(model, cfg)
+            rec = sample_levy_path(model, sample_cfg)
         elif kind == "pssmp":
-            rec = levy_to_pssmp(sample_levy_path(model, cfg), args.x0,
+            rec = levy_to_pssmp(sample_levy_path(model, sample_cfg), args.x0,
                                 model.alpha, allow_truncated=True)
         else:
-            ecfg = extensions.ExtensionConfig(
-                mode=args.mode, epsilon=args.epsilon,
-                horizon=args.ext_horizon, beta=args.beta)
-            rec = extensions.simulate_extension(model, ecfg, cfg)
+            rec = extensions.simulate_extension(model, ecfg, sample_cfg)
         lines.append(rec.to_json_record())
     with open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -291,8 +299,11 @@ def main(argv=None) -> int:
             if args.kind == "extension":
                 if args.epsilon is None or args.mode is None:
                     parser.error("extension kind requires --epsilon and --mode")
-                if args.mode == "jump_in" and args.beta is None:
-                    parser.error("jump_in mode requires --beta")
+            # an invalid flag value is rejected before any path is drawn
+            try:
+                _simulate_configs(args.kind, args)
+            except ValueError as exc:
+                parser.error(str(exc))
             model = load_model(args.model)
             manifest.model_digest = _digest(args.model)
             simulate(model, args.kind, args, args.out)

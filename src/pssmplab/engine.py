@@ -1,12 +1,13 @@
 """Batch Monte Carlo engine for exponential functionals and marginals.
 
 One windowed loop serves every model class.  Each window advances the live
-paths through the dense numpy window kernel in _kernels: 128 steps of dt
-for the Gaussian part or, for a model without one, a single exact drift
-segment of length _WINDOW_TIME (the dt grid only discretizes the Brownian
-part).  Jump epochs are exact per-path stop times: the kernel stops a path
-at min(zeta, next jump epoch), and at a jump epoch the loop adds a jump
-size, draws the next epoch and resumes the path in the next window.
+paths through the dense numpy window kernel, _kernels.advance_window: 128
+steps of dt for the Gaussian part or, for a model without one, a single
+exact drift segment of length _WINDOW_TIME (the dt grid only discretizes
+the Brownian part).  Jump epochs are exact per-path stop times: the kernel
+stops a path at min(zeta, next jump epoch), and at a jump epoch the loop
+adds a jump size, draws the next epoch and resumes the path in the next
+window.
 
 The loop accumulates A = integral e^{sign * xi_s / alpha} ds up to the
 killing time or, for conservative models, until the part of A added since
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels._py import _BLOCK_CELLS
 from .models import LevyModel
 from .paths import SimConfig
 
@@ -75,12 +75,13 @@ class MarginalBatch:
     status: np.ndarray      # HIT / KILLED / CENSORED per path
 
 
-def _draw_jump_sizes(specs, rates, total_rate, rng, k):
+def _draw_jump_sizes(specs, cum, rng, k):
     if len(specs) == 1:
         return specs[0].sample_sizes(rng, k)
     u = rng.random(k)
-    cum = np.cumsum(rates) / total_rate
-    which = np.searchsorted(cum, u)
+    # a jump's component is the count of cumulative rate shares below u;
+    # without cum[-1], which rounding may leave below 1, none is past the last
+    which = sum(u > c for c in cum[:-1])
     sizes = np.empty(k)
     for si, spec in enumerate(specs):
         mask = which == si
@@ -120,7 +121,7 @@ class _GaussNormals:
         # first, and only for a window that fills a column block: a thread
         # handoff costs more than a small draw, and the last small windows
         # use up the leftover
-        if self.started and need >= _BLOCK_CELLS and rest < need:
+        if self.started and need >= _kernels._BLOCK_CELLS and rest < need:
             if self.pool is None:
                 self.pool = ThreadPoolExecutor(max_workers=1)
             self.pending = self.pool.submit(self.rng.standard_normal,
@@ -152,6 +153,7 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
         else np.inf
     rates = np.array([s.intensity for s in model.jumps])
     total_rate = float(rates.sum())
+    cum = np.cumsum(rates) / total_rate
     jump_at[:] = rng.exponential(1.0 / total_rate, n) if model.jumps \
         else np.inf
     next_check[:] = span
@@ -185,8 +187,7 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
             ji = np.flatnonzero(jumped)
             if ji.size:
                 st[ji] = 0
-                x[ji] += _draw_jump_sizes(model.jumps, rates, total_rate,
-                                          rng, ji.size)
+                x[ji] += _draw_jump_sizes(model.jumps, cum, rng, ji.size)
                 jump_at[ji] = t[ji] + rng.exponential(1.0 / total_rate,
                                                       ji.size)
             conv = (due & (zeta == np.inf) & (t >= _MIN_TIME) &

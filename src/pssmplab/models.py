@@ -356,40 +356,53 @@ class CramerReport:
 # operations
 
 
-def _find_upper_sign_change(model: LevyModel):
-    """Return ("bracket", hi) with psi(hi) > 0, ("boundary", sup) for an
-    exact root at the domain boundary, or None when psi stays negative on
-    (0, sup E)."""
+def _positive_root(model: LevyModel) -> Optional[float]:
+    """The positive root of psi, or None when psi stays negative on
+    (0, sup E): sup itself when psi(sup) = 0, else bisected in a bracket."""
     sup = model.domain_sup
-    if math.isfinite(sup):
+    hi = None
+    if not math.isfinite(sup):
+        # unbounded domain: scan geometrically; by convexity, if psi has not
+        # turned positive by a huge lambda it never will
+        lams = (2.0 ** i for i in range(80))
+        hi = next((lam for lam in lams if model.psi(lam) > 0), None)
+    else:
         v = model.psi(sup)
+        if abs(v) <= 1e-9:
+            return sup
+        if v < 0:
+            return None
         if math.isfinite(v):
-            if abs(v) <= 1e-9:
-                return ("boundary", sup)
-            if v < 0:
-                return None
             hi = sup
         else:
             # psi -> +inf as lam -> sup-; walk toward the boundary
-            hi = None
             lam = sup * 0.5
             while sup - lam > 1e-14 * max(1.0, sup):
                 if model.psi(lam) > 0:
                     hi = lam
                     break
                 lam = sup - 0.5 * (sup - lam)
-            if hi is None:
-                return None
-        return ("bracket", hi)
-    # unbounded domain: scan geometrically; by convexity, if psi has not
-    # turned positive by a huge lambda it never will
-    lam = 1.0
-    for _ in range(80):
-        v = model.psi(lam)
-        if v > 0:
-            return ("bracket", lam)
-        lam *= 2.0
-    return None
+    if hi is None:
+        return None
+    lo = 0.0
+    if model.killing == 0:
+        # psi(0) = 0; move lo into the dip so the bracket is strict
+        lo = hi * 0.5
+        while model.psi(lo) >= 0:
+            lo *= 0.5
+            if lo < 1e-300:
+                break
+    while hi - lo > ROOT_TOL or abs(model.psi(0.5 * (lo + hi))) > ROOT_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # no float left between them
+            break
+        if model.psi(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-17 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
 
 
 def cramer_root(model: LevyModel) -> CramerReport:
@@ -402,58 +415,20 @@ def cramer_root(model: LevyModel) -> CramerReport:
         raise ModelDoesNotHitZero(
             "model needs killing > 0 or negative mean to hit zero")
     sup = model.domain_sup
-    theta = None
-    found = _find_upper_sign_change(model)
-    if found is not None:
-        kind, val = found
-        if kind == "boundary":
-            theta = val
-        else:
-            hi = val
-            lo = 0.0
-            if model.killing == 0:
-                # psi(0) = 0; move lo into the dip so the bracket is strict
-                lo = hi * 0.5
-                while model.psi(lo) >= 0:
-                    lo *= 0.5
-                    if lo < 1e-300:
-                        break
-            while hi - lo > ROOT_TOL or \
-                    abs(model.psi(0.5 * (lo + hi))) > ROOT_TOL:
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:  # no float left between them
-                    break
-                if model.psi(mid) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-17 * max(1.0, hi):
-                    break
-            theta = 0.5 * (lo + hi)
-
-    inv_alpha = 1.0 / model.alpha
-    upper = min(inv_alpha, theta if theta is not None else sup)
-    jump_in_range = (0.0, upper)
-
-    psi_prime = None
-    alpha_theta = None
-    cond4 = None
-    cont = False
-    if theta is not None:
-        # condition 4 of the existence theorem: psi'(theta) < inf
-        psi_prime = model.psi_derivative(theta)
-        cond4 = math.isfinite(psi_prime)
-        alpha_theta = model.alpha * theta
-        cont = alpha_theta < 1.0
+    theta = _positive_root(model)
+    if theta is None:
+        return CramerReport(
+            domain_sup=sup, theta=None, psi_prime_at_theta=None,
+            alpha_theta=None, jump_in_range=(0.0, min(1.0 / model.alpha, sup)),
+            continuous_extension_exists=False)
+    # condition 4 of the existence theorem: psi'(theta) < inf
+    psi_prime = model.psi_derivative(theta)
     return CramerReport(
-        domain_sup=sup,
-        theta=theta,
-        psi_prime_at_theta=psi_prime,
-        alpha_theta=alpha_theta,
-        jump_in_range=jump_in_range,
-        continuous_extension_exists=cont,
-        condition4_finite=cond4,
-    )
+        domain_sup=sup, theta=theta, psi_prime_at_theta=psi_prime,
+        alpha_theta=model.alpha * theta,
+        jump_in_range=(0.0, min(1.0 / model.alpha, theta)),
+        continuous_extension_exists=model.alpha * theta < 1.0,
+        condition4_finite=math.isfinite(psi_prime))
 
 
 def esscher(model: LevyModel, theta: float) -> LevyModel:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import integrate, stats
@@ -58,11 +58,12 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> KsReport:
                     p_value=float(res.pvalue), n1=a.size, n2=b.size)
 
 
-def scaling_test(model: LevyModel, x: float, c: float, t_grid, n: int,
+def scaling_test(model: LevyModel, x: float, c: float, t: float, n: int,
                  config: SimConfig,
-                 alpha_override: Optional[float] = None) -> List[KsReport]:
-    """Per-t KS between {c * X_{t c^{-1/alpha}} under P_x} and {X_t under
-    P_{cx}}; equality in law is the scaling property of index alpha.
+                 alpha_override: Optional[float] = None) -> KsReport:
+    """KS between {c * X_{t c^{-1/alpha}} under P_x} and {X_t under
+    P_{cx}}, drawn on the config's stream and the next; equality in law is
+    the scaling property of index alpha.
 
     ``alpha_override`` rescales time with a wrong index on the first sample
     only -- the harness-sensitivity knob.
@@ -70,15 +71,9 @@ def scaling_test(model: LevyModel, x: float, c: float, t_grid, n: int,
     if x <= 0 or c <= 0:
         raise ValueError("x and c must be > 0")
     alpha_used = model.alpha if alpha_override is None else alpha_override
-    reports = []
-    for k, t in enumerate(np.atleast_1d(t_grid)):
-        t_scaled = t * c ** (-1.0 / alpha_used)
-        a = c * pssmp_marginal(model, x, t_scaled, n,
-                               config.substream(2 * k))
-        b = pssmp_marginal(model, c * x, float(t), n,
-                           config.substream(2 * k + 1))
-        reports.append(ks_two_sample(a, b))
-    return reports
+    a = c * pssmp_marginal(model, x, t * c ** (-1.0 / alpha_used), n, config)
+    b = pssmp_marginal(model, c * x, float(t), n, config.substream(1))
+    return ks_two_sample(a, b)
 
 
 def multi_seed_ks(sampler: Callable[[int], KsReport],
@@ -148,30 +143,26 @@ def _renewal_mass(prob_mass: np.ndarray) -> np.ndarray:
     return s
 
 
-def _renewal_value(problem: RenewalProblem, g: Callable, t_list, dx: float):
+def _renewal_value(problem: RenewalProblem, g: Callable, dx: float) -> float:
     tail = problem.tail_fn()
-    grid = np.arange(0.0, problem.t_max + dx, dx)
+    t = problem.t_max
+    grid = np.arange(0.0, t + dx, dx)
     cdf = 1.0 - tail(grid)
     prob_mass = np.diff(cdf)
     u_mass = _renewal_mass(np.concatenate(([0.0], prob_mass)))
     # m(t) = integral_0^t tail(u) du, trapezoid on the same grid
     m_cum = np.concatenate(
         ([0.0], np.cumsum(0.5 * (tail(grid[:-1]) + tail(grid[1:])) * dx)))
-    out = []
-    for t in t_list:
-        j = int(round(t / dx))
-        # sum over renewal points y <= grid end; g may look left of 0
-        y = grid[:u_mass.size]
-        val = float(m_cum[min(j, m_cum.size - 1)] *
-                    np.sum(g(t - y) * u_mass))
-        out.append(val)
-    return out
+    j = int(round(t / dx))
+    # sum over renewal points y <= grid end; g may look left of 0
+    y = grid[:u_mass.size]
+    return float(m_cum[min(j, m_cum.size - 1)] * np.sum(g(t - y) * u_mass))
 
 
-def renewal_limit(problem: RenewalProblem, g: Union[Callable, dict],
-                  t_list) -> List[dict]:
-    """m(t) * integral g(t - y) U(dy) against its strong-renewal limit,
-    by deterministic lattice convolution at two resolutions.
+def renewal_limit(problem: RenewalProblem, g: Union[Callable, dict]) -> dict:
+    """m(t) * integral g(t - y) U(dy) at t = t_max against its
+    strong-renewal limit, by deterministic lattice convolution at two
+    resolutions.
 
     The limit constant is 1 / (Gamma(gamma) * Gamma(2 - gamma)): it follows
     from U(t) ~ t^gamma / (Gamma(1+gamma) Gamma(1-gamma) ell(t)) together
@@ -191,17 +182,15 @@ def renewal_limit(problem: RenewalProblem, g: Union[Callable, dict],
     else:
         raise ValueError(f"unknown g spec {g!r}")
 
-    t_list = list(np.atleast_1d(t_list).astype(float))
-    coarse = _renewal_value(problem, g_fn, t_list, problem.dx)
-    fine = _renewal_value(problem, g_fn, t_list, problem.dx / 2.0)
-    move = abs(fine[-1] - coarse[-1]) / abs(fine[-1])
+    coarse = _renewal_value(problem, g_fn, problem.dx)
+    fine = _renewal_value(problem, g_fn, problem.dx / 2.0)
+    move = abs(fine - coarse) / abs(fine)
     if move > 0.02:
         raise GridTooCoarse(
             f"halving dx moved value(t_max point) by {move:.1%} (> 2%)")
     gam = problem.gamma
     target = total_g / (math.gamma(gam) * math.gamma(2.0 - gam))
-    return [{"t": float(t), "value": v, "target": target}
-            for t, v in zip(t_list, fine)]
+    return {"t": float(problem.t_max), "value": fine, "target": target}
 
 
 # ---------------------------------------------------------------------------

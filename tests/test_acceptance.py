@@ -175,8 +175,8 @@ def test_criterion_07_hitting_time_and_scaling():
     # multi-seed KS rule for the scaling property
     def one(s, override=None):
         cfg = SimConfig(dt=0.01, horizon=400.0, seed=1000 + s)
-        return scaling_test(catalog.brownian(), 1.0, 2.0, [0.5], 2000, cfg,
-                            alpha_override=override)[0]
+        return scaling_test(catalog.brownian(), 1.0, 2.0, 0.5, 2000, cfg,
+                            alpha_override=override)
 
     rep = multi_seed_ks(lambda s: one(s), seeds=100)
     bad = multi_seed_ks(lambda s: one(s, override=2.5), seeds=20)
@@ -228,8 +228,7 @@ def test_criterion_09_jump_in_gate_and_restart_law():
 def test_criterion_10_renewal_limit():
     problem = RenewalProblem(tail={"kind": "pareto", "gamma": 0.75},
                              gamma=0.75, dx=0.05, t_max=200.0)
-    res = renewal_limit(problem, {"kind": "indicator", "a": 0.0, "b": 1.0},
-                        [200.0])[0]
+    res = renewal_limit(problem, {"kind": "indicator", "a": 0.0, "b": 1.0})
     rel = abs(res["value"] - res["target"]) / res["target"]
     ok = rel < 0.15  # grid stability to 2% is enforced inside renewal_limit
     _report(10, ok, f"value={res['value']:.4f} target={res['target']:.4f} "

@@ -97,6 +97,27 @@ def test_simulate_extension_flag_requirements(brownian_file, tmp_path):
     assert rec["epsilon"] == 0.05
 
 
+@pytest.mark.parametrize("kind, flags", [
+    ("levy", ["--dt", "0"]),
+    ("levy", ["--dt", "nan"]),
+    ("levy", ["--samples", "0"]),
+    ("pssmp", ["--x0", "0"]),
+    ("extension", ["--mode", "continuous", "--epsilon", "-1"]),
+    ("extension", ["--mode", "jump_in", "--epsilon", "0.05",
+                   "--beta", "nan"]),
+], ids=["dt_zero", "dt_nan", "no_samples", "x0_zero", "epsilon_negative",
+        "beta_nan"])
+def test_simulate_rejects_invalid_flags(brownian_file, tmp_path, capsys,
+                                        kind, flags):
+    out = tmp_path / "paths.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--model", brownian_file, "--kind", kind,
+                  *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "brownian.json"]
+
+
 def test_unknown_flag_is_an_error(brownian_file):
     with pytest.raises(SystemExit) as exc:
         cli.main(["analyze", "--model", brownian_file, "--frobnicate"])
@@ -160,6 +181,20 @@ def test_verify_records_errors_and_exits_nonzero(tmp_path):
         "ValueError: t must be finite and > 0, got -1.0"
 
 
+def test_suite_check_field_errors_are_recorded():
+    # a bad field value is that check's error; the suite goes on
+    report = cli.run_suite({"checks": [
+        {"op": "renewal", "n": "abc"},
+        {"op": "renewal", "dt": 0},
+        {"op": "renewal", "dx": 0.1, "t_max": 50.0, "rel_tol": 0.5},
+    ]}, seed=0)
+    bad_n, bad_dt, ok = report["checks"]
+    assert bad_n["error"].startswith("ValueError: invalid literal for int()")
+    assert bad_dt["error"] == "ValueError: dt must be > 0"
+    assert not bad_n["pass"] and not bad_dt["pass"]
+    assert "error" not in ok and ok["pass"]
+
+
 def test_suite_model_name_must_be_a_catalog_model():
     # catalog attributes that are not catalog models are unknown names
     report = cli.run_suite({"checks": [
@@ -179,7 +214,9 @@ def test_verify_suite_file_errors(tmp_path):
     bad.write_text("{oops")
     assert cli.main(["verify", "--suite", str(bad)]) == 2
     for doc, err in [([], r"\$: expected a JSON object"),
-                     ({"checks": {}}, r"\$\.checks: expected an array")]:
+                     ({"checks": {}}, r"\$\.checks: expected an array"),
+                     ({"checks": [{"op": "renewal"}, 1]},
+                      r"\$\.checks\[1\]: expected an object")]:
         bad.write_text(json.dumps(doc))
         assert cli.main(["verify", "--suite", str(bad)]) == 2
         with pytest.raises(ModelFileError, match=err):

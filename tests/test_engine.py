@@ -72,8 +72,8 @@ def test_mixed_marginal():
 def test_mixed_scaling_multi_seed_ks():
     def one(s, override=None):
         cfg = SimConfig(dt=0.01, horizon=400.0, seed=2000 + s)
-        return scaling_test(_mixed(), 1.0, 2.0, [0.5], 2000, cfg,
-                            alpha_override=override)[0]
+        return scaling_test(_mixed(), 1.0, 2.0, 0.5, 2000, cfg,
+                            alpha_override=override)
 
     rep = multi_seed_ks(lambda s: one(s), seeds=20)
     bad = multi_seed_ks(lambda s: one(s, override=2.5), seeds=10)
@@ -107,6 +107,35 @@ def test_engine_I_matches_per_path_sampler(name):
         for _ in range(n)])
     assert not censored.any()
     assert ks_two_sample(engine_i, path_t0).p_value > 0.01
+
+
+def _searchsorted_jump_sizes(specs, rates, rng, k):
+    """The component pick by np.searchsorted on the cumulative rate
+    shares, kept as the reference for engine._draw_jump_sizes."""
+    u = rng.random(k)
+    which = np.searchsorted(np.cumsum(rates) / float(rates.sum()), u)
+    sizes = np.empty(k)
+    for si, spec in enumerate(specs):
+        mask = which == si
+        cnt = int(mask.sum())
+        if cnt:
+            sizes[mask] = spec.sample_sizes(rng, cnt)
+    return sizes
+
+
+@pytest.mark.parametrize("specs", [
+    catalog.two_sided().jumps,
+    _two_components().jumps + (CompoundPoisson(0.2, PointMass(1.5)),),
+], ids=["two", "three"])
+def test_draw_jump_sizes_matches_searchsorted(specs):
+    rates = np.array([s.intensity for s in specs])
+    cum = np.cumsum(rates) / float(rates.sum())
+    for seed in range(5):
+        got = engine._draw_jump_sizes(specs, cum,
+                                      np.random.default_rng(seed), 3000)
+        want = _searchsorted_jump_sizes(specs, rates,
+                                        np.random.default_rng(seed), 3000)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_window_cut_short_by_a_jump_is_not_read_as_convergence():

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pssmplab import catalog
-from pssmplab._kernels import _py
+from pssmplab import _kernels, catalog
 from pssmplab.engine import HIT, KILLED, marginal_batch
 from pssmplab.lamperti import segment_exp_integral
 from pssmplab.paths import SimConfig
@@ -39,7 +38,7 @@ def _reference_window(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
                 phi = 1.0
                 seen["d_zero"] += 1
             seg = h * np.exp(s_ia * x[i]) * phi
-            if mode == _py.TARGET and seg >= target[i] - a[i]:
+            if mode == _kernels.TARGET and seg >= target[i] - a[i]:
                 r = target[i] - a[i]
                 c = inc / h
                 kc = s_ia * c
@@ -78,7 +77,7 @@ def _scenario_window(rng, b, sigma, m, wide, same_t, dt=0.05):
     """A window's inputs: zeta inside the window or infinite; every path
     running on entry; nonzero incoming a and w; and targets that some paths
     cross, some of them on their kill step."""
-    n = _py._block(m) + 100 if wide else 64
+    n = _kernels._block(m) + 100 if wide else 64
     t = np.full(n, 0.3) if same_t else rng.uniform(0.0, 2.0, n)
     zeta = t + rng.uniform(0.0, 1.3 * m * dt, n)
     zeta[rng.random(n) < 0.3] = np.inf
@@ -108,18 +107,18 @@ def test_window_matches_per_step_recursion_bit_for_bit(same_t):
     for b, sigma, m, wide in _SCENARIOS:
         state, zeta, target, normals = _scenario_window(rng, b, sigma, m,
                                                         wide, same_t)
-        for mode in (_py.STOP_AT_ZETA, _py.TARGET):
+        for mode in (_kernels.STOP_AT_ZETA, _kernels.TARGET):
             args = (zeta, target, normals, b, sigma, 0.05, 2.0, 1.0, mode)
             ref = [v.copy() for v in state]
             got = [v.copy() for v in state]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 _reference_window(*ref, *args, seen)
-                _py.advance_window(*got, *args)
+                _kernels.advance_window(*got, *args)
             for name, r, g in zip("x a t w done".split(), ref, got):
                 assert np.array_equal(r, g), (b, sigma, m, mode, name)
             assert (got[4] == 1).any()
-            if mode == _py.TARGET:
+            if mode == _kernels.TARGET:
                 assert (got[4] == 2).any()
     assert all(seen.values()), seen
 
@@ -139,11 +138,11 @@ def test_one_column_window_matches_per_step_recursion(inside):
         state = [rng.normal(size=1), rng.exponential(0.2, 1), t,
                  rng.exponential(0.05, 1), np.zeros(1, np.uint8)]
         args = (zeta, np.full(1, np.inf), rng.standard_normal((m, 1)), 0.3,
-                1.0, dt, 1.0, -1.0, _py.STOP_AT_ZETA)
+                1.0, dt, 1.0, -1.0, _kernels.STOP_AT_ZETA)
         ref = [v.copy() for v in state]
         got = [v.copy() for v in state]
         _reference_window(*ref, *args, seen)
-        _py.advance_window(*got, *args)
+        _kernels.advance_window(*got, *args)
         for name, r, g in zip("x a t w done".split(), ref, got):
             assert np.array_equal(r, g), (zeta, name)
         assert got[4][0] == inside
@@ -162,13 +161,13 @@ def test_kill_row_on_clock_edges(t0, dt):
     zeta = zeta[zeta > t0]
     n = zeta.size
     args = (zeta, np.full(n, np.inf), np.zeros((m, n)), -1.0, 0.0, dt, 1.0,
-            1.0, _py.STOP_AT_ZETA)
+            1.0, _kernels.STOP_AT_ZETA)
     ref = [np.zeros(n), np.zeros(n), np.full(n, t0), np.zeros(n),
            np.zeros(n, np.uint8)]
     got = [v.copy() for v in ref]
     _reference_window(*ref, *args, dict(d_zero=0, small_kc=0,
                                         cross_on_kill=0))
-    _py.advance_window(*got, *args)
+    _kernels.advance_window(*got, *args)
     for r, g in zip(ref, got):
         assert np.array_equal(r, g)
 
@@ -179,9 +178,9 @@ def test_stop_at_zeta_exact_boundary():
     zeta = np.array([0.005, 0.5, 0.755, 2.0])
     normals = np.zeros((128, n))
     s = _state(n)
-    _py.advance_window(s["x"], s["a"], s["t"], s["w"], s["done"], zeta,
-                       np.zeros(n), normals, -1.0, 0.0, 0.01, 1.0, 1.0,
-                       _py.STOP_AT_ZETA)
+    _kernels.advance_window(s["x"], s["a"], s["t"], s["w"], s["done"], zeta,
+                            np.zeros(n), normals, -1.0, 0.0, 0.01, 1.0, 1.0,
+                            _kernels.STOP_AT_ZETA)
     done = s["done"] == 1
     assert done[:3].all() and not done[3]  # 2.0 > 128 * 0.01
     np.testing.assert_allclose(s["t"][:3], zeta[:3], atol=1e-15)
@@ -198,9 +197,9 @@ def test_target_crossing_closed_form():
     target = np.array([0.1, 0.5, 0.7])
     normals = np.zeros((128, n))
     s = _state(n)
-    _py.advance_window(s["x"], s["a"], s["t"], s["w"], s["done"],
-                       np.full(n, np.inf), target, normals, -1.0, 0.0,
-                       0.01, 1.0, 1.0, _py.TARGET)
+    _kernels.advance_window(s["x"], s["a"], s["t"], s["w"], s["done"],
+                            np.full(n, np.inf), target, normals, -1.0, 0.0,
+                            0.01, 1.0, 1.0, _kernels.TARGET)
     assert (s["done"] == 2).all()
     np.testing.assert_allclose(s["t"], -np.log1p(-target), rtol=1e-12)
     np.testing.assert_allclose(s["x"], np.log1p(-target), rtol=1e-12)

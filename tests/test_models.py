@@ -104,6 +104,32 @@ def test_boundary_root_model():
     assert abs(m.psi(1.0)) < 1e-9
 
 
+@pytest.mark.parametrize("model, theta_hex", [
+    # unbounded domain: geometric scan, then bisection
+    (catalog.brownian(), "0x1.fffffffffe000p-2"),
+    # psi(sup) = inf: walk toward sup
+    (catalog.two_sided(), "0x1.a413a23042c80p+0"),
+    # psi(sup) = 0: the root is sup itself
+    (catalog.boundary_root(), "0x1.0000000000000p+0"),
+    # killing = 0: the bracket's low end is moved into the dip
+    (LevyModel(drift=-1.0, gaussian=1.0), "0x1.0000000000100p+1"),
+    # 0 < psi(sup) < inf: the bracket's high end is sup
+    (LevyModel(drift=-1.0, gaussian=4.0,
+               jumps=(TemperedPower(1.0, 0.5, 0.1),), killing=0.1),
+     "0x1.5e8d5adb34000p-3"),
+    # psi(sup) < 0: no root
+    (LevyModel(drift=-5.0, jumps=(TemperedPower(1.0, 0.5, 0.1),),
+               killing=0.1), None),
+    # unbounded domain on which psi stays negative: no root
+    (catalog.killed_drift(), None),
+], ids=["scan", "walk_to_sup", "root_at_sup", "conservative",
+        "bracket_at_sup", "negative_at_sup", "no_root"])
+def test_cramer_root_theta_bits(model, theta_hex):
+    # the root search's result to the last bit, one model per branch
+    theta = cramer_root(model).theta
+    assert (None if theta is None else theta.hex()) == theta_hex
+
+
 def test_cramer_root_stops_at_float_resolution():
     # root near 2e4, where adjacent floats are 3.6e-12 apart: wider than the
     # bisection tolerance, so the bracket can only close to adjacent floats

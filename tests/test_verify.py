@@ -45,13 +45,13 @@ def test_multi_seed_ks_rule():
 
 
 def test_scaling_test_brownian():
-    rep = scaling_test(catalog.brownian(), 1.0, 2.0, [0.5], 2000, CFG)[0]
+    rep = scaling_test(catalog.brownian(), 1.0, 2.0, 0.5, 2000, CFG)
     assert rep.p_value > 0.001
-    bad = scaling_test(catalog.brownian(), 1.0, 2.0, [0.5], 2000, CFG,
-                       alpha_override=2.5)[0]
+    bad = scaling_test(catalog.brownian(), 1.0, 2.0, 0.5, 2000, CFG,
+                       alpha_override=2.5)
     assert bad.p_value < 0.01
     with pytest.raises(ValueError):
-        scaling_test(catalog.brownian(), -1.0, 2.0, [0.5], 100, CFG)
+        scaling_test(catalog.brownian(), -1.0, 2.0, 0.5, 100, CFG)
 
 
 def test_renewal_problem_validation():
@@ -70,8 +70,7 @@ def test_renewal_problem_validation():
 def test_renewal_limit_target_constant():
     p = RenewalProblem(tail={"kind": "pareto", "gamma": 0.75}, gamma=0.75,
                        dx=0.1, t_max=50.0)
-    res = renewal_limit(p, {"kind": "indicator", "a": 0.0, "b": 2.0},
-                        [50.0])[0]
+    res = renewal_limit(p, {"kind": "indicator", "a": 0.0, "b": 2.0})
     expect = 2.0 / (math.gamma(0.75) * math.gamma(1.25))
     assert res["target"] == pytest.approx(expect, rel=1e-12)
     assert res["value"] > 0
@@ -82,8 +81,7 @@ def test_renewal_limit_gamma_one_is_classical():
     # must track the classical renewal theorem
     p = RenewalProblem(tail={"kind": "pareto", "gamma": 1.0}, gamma=1.0,
                        dx=0.05, t_max=200.0)
-    res = renewal_limit(p, {"kind": "indicator", "a": 0.0, "b": 1.0},
-                        [200.0])[0]
+    res = renewal_limit(p, {"kind": "indicator", "a": 0.0, "b": 1.0})
     assert res["target"] == pytest.approx(1.0, abs=1e-12)
     assert abs(res["value"] - 1.0) < 0.1
 
@@ -92,7 +90,7 @@ def test_renewal_limit_callable_inputs():
     p = RenewalProblem(tail=lambda u: (1.0 + np.asarray(u)) ** (-0.75),
                        gamma=0.75, dx=0.05, t_max=50.0)
     res = renewal_limit(
-        p, lambda y: np.exp(-np.abs(np.asarray(y, dtype=float))), [50.0])[0]
+        p, lambda y: np.exp(-np.abs(np.asarray(y, dtype=float))))
     assert res["value"] > 0 and res["target"] > 0
 
 
