@@ -13,12 +13,12 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import List, Optional
 
 from scipy import special
 
-from . import catalog, extensions, verify
+from . import catalog, extensions, models, verify
 from .errors import LabError, ModelFileError
 from .expfun import (
     CheckReport,
@@ -28,23 +28,9 @@ from .expfun import (
 )
 from .lamperti import _check_positive, levy_to_pssmp
 from .models import LevyModel, cramer_root, load_model, model_from_dict
-from .paths import SimConfig, sample_levy_path
+from .paths import SimConfig, _check_path_ends, sample_levy_path
 
-__all__ = ["main", "RunManifest", "analyze", "run_suite", "simulate"]
-
-
-@dataclass
-class RunManifest:
-    command: str
-    model_digest: Optional[str]
-    seed: int
-    n: int
-    started: str = ""
-    finished: str = ""
-    outputs: List[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return self.__dict__.copy()
+__all__ = ["main", "analyze", "run_suite", "simulate"]
 
 
 def _now() -> str:
@@ -215,19 +201,24 @@ def run_suite(suite: dict, seed: int, threads: int = 1) -> dict:
 # simulate
 
 
-def _simulate_configs(kind: str, args):
+def _simulate_configs(model: LevyModel, kind: str, args):
     """SimConfig, ExtensionConfig or None; a ValueError names a bad flag."""
     if args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
     _check_positive("x0", args.x0)
-    ecfg = extensions.ExtensionConfig(
+    cfg = SimConfig(dt=args.dt, horizon=args.horizon, seed=args.seed)
+    _check_path_ends(model, cfg)
+    if kind != "extension":
+        return cfg, None
+    if args.epsilon is None or args.mode is None:
+        raise ValueError("extension kind requires --epsilon and --mode")
+    return cfg, extensions.ExtensionConfig(
         mode=args.mode, epsilon=args.epsilon, horizon=args.ext_horizon,
-        beta=args.beta) if kind == "extension" else None
-    return SimConfig(dt=args.dt, horizon=args.horizon, seed=args.seed), ecfg
+        beta=args.beta)
 
 
 def simulate(model: LevyModel, kind: str, args, out_path: str) -> List[str]:
-    cfg, ecfg = _simulate_configs(kind, args)
+    cfg, ecfg = _simulate_configs(model, kind, args)
     lines = []
     for i in range(args.samples):
         sample_cfg = cfg.substream(i)
@@ -248,7 +239,8 @@ def simulate(model: LevyModel, kind: str, args, out_path: str) -> List[str]:
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser and its simulate subparser."""
     parser = argparse.ArgumentParser(
         prog="pssmplab",
         description="simulation lab for positive self-similar Markov "
@@ -281,53 +273,41 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--threads", type=int, default=1)
     pv.add_argument("--out")
-    return parser
+    return parser, ps
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, sim_parser = _build_parser()
     args = parser.parse_args(argv)
-    manifest = RunManifest(command=args.command, model_digest=None,
-                           seed=getattr(args, "seed", 0),
-                           n=getattr(args, "samples", 0), started=_now())
     try:
         if args.command == "analyze":
             doc = analyze(args.model)
             _write_json(doc, args.out)
             return 0
         if args.command == "simulate":
-            if args.kind == "extension":
-                if args.epsilon is None or args.mode is None:
-                    parser.error("extension kind requires --epsilon and --mode")
+            started = _now()
+            model = load_model(args.model)
             # an invalid flag value is rejected before any path is drawn
             try:
-                _simulate_configs(args.kind, args)
+                _simulate_configs(model, args.kind, args)
             except ValueError as exc:
-                parser.error(str(exc))
-            model = load_model(args.model)
-            manifest.model_digest = _digest(args.model)
+                sim_parser.error(str(exc))
             simulate(model, args.kind, args, args.out)
-            manifest.outputs = [args.out]
-            manifest.finished = _now()
+            manifest = {"command": "simulate",
+                        "model_digest": _digest(args.model),
+                        "seed": args.seed, "n": args.samples,
+                        "started": started, "finished": _now(),
+                        "outputs": [args.out]}
             with open(args.out + ".manifest.json", "w") as fh:
-                json.dump(manifest.to_json(), fh, indent=2)
+                json.dump(manifest, fh, indent=2)
             return 0
         # verify
-        if args.default:
-            suite = default_suite()
-        else:
-            with open(args.suite) as fh:
-                suite = json.load(fh)
+        suite = (default_suite() if args.default
+                 else models._read_json(args.suite))
         report = run_suite(suite, args.seed, args.threads)
         _write_json(report, args.out)
         return 0 if report["failed"] == 0 else 1
-    except ModelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ModelFileError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LabError as exc:

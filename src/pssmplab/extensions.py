@@ -27,7 +27,7 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 from scipy import special
 
-from .errors import ConfigRejected, NoCramerRoot
+from .errors import BetaOutOfRange, ConfigRejected, NoCramerRoot
 from .expfun import (
     CheckReport,
     ExpFunEstimate,
@@ -37,7 +37,14 @@ from .expfun import (
     sample_J_batch,
 )
 from .lamperti import _check_positive, levy_to_pssmp
-from .models import LevyModel, cramer_root, dual, esscher
+from .models import (
+    BetaClass,
+    LevyModel,
+    classify_beta,
+    cramer_root,
+    dual,
+    esscher,
+)
 from .paths import SimConfig, sample_levy_path
 
 __all__ = ["ExtensionConfig", "ExtensionPath", "sample_jump_in_restart",
@@ -130,25 +137,24 @@ class ExtensionPath:
 
 
 def extension_gamma(model: LevyModel, cfg: ExtensionConfig) -> float:
-    """Self-similarity index of the excursion measure; gates the config
-    against the existence criteria for each mode."""
+    """Self-similarity index of the excursion measure, alpha*beta or
+    alpha*theta.  ConfigRejected unless ``classify_beta`` reads
+    JUMP_IN_EXISTS or the Cramer report ``continuous_extension_exists``."""
     if cfg.mode == "jump_in":
-        beta = cfg.beta
-        if not 0.0 < beta < 1.0 / model.alpha:
+        try:
+            verdict = classify_beta(model, cfg.beta)
+        except BetaOutOfRange as exc:
+            raise ConfigRejected(f"jump_in: {exc}") from exc
+        if verdict is not BetaClass.JUMP_IN_EXISTS:
             raise ConfigRejected(
-                f"jump_in needs beta in (0, {1.0 / model.alpha:g})")
-        v = model.psi(beta)
-        if not v < 0:
-            raise ConfigRejected(
-                f"jump_in extension does not exist: psi({beta:g}) = {v:g} >= 0")
-        return model.alpha * beta
+                f"jump_in extension does not exist at beta={cfg.beta}: "
+                f"verdict {verdict.value}")
+        return model.alpha * cfg.beta
     report = cramer_root(model)
-    if report.theta is None:
-        raise ConfigRejected("continuous extension needs a Cramer root")
-    if not report.alpha_theta < 1.0:
+    if not report.continuous_extension_exists:
         raise ConfigRejected(
-            f"continuous extension needs alpha*theta < 1, got "
-            f"{report.alpha_theta:g}")
+            "continuous extension needs a Cramer root theta with alpha*theta "
+            f"< 1, got alpha*theta={report.alpha_theta}")
     return report.alpha_theta
 
 
@@ -233,10 +239,10 @@ def occupation_histogram(paths, bins: np.ndarray):
 
 def _tilted_setup(model: LevyModel):
     report = cramer_root(model)
-    if report.theta is None:
-        raise NoCramerRoot("entrance law needs a Cramer root")
-    if not report.alpha_theta < 1.0:
-        raise NoCramerRoot("entrance law needs alpha*theta < 1")
+    if not report.continuous_extension_exists:
+        raise NoCramerRoot(
+            "entrance law needs a Cramer root theta with alpha*theta < 1, "
+            f"got alpha*theta={report.alpha_theta}")
     return report.theta, report.alpha_theta, esscher(model, report.theta)
 
 

@@ -590,10 +590,14 @@ def model_to_dict(model: LevyModel) -> dict:
     }
 
 
-def load_model(path: str) -> LevyModel:
+def _read_json(path: str):
+    """The JSON document in a file; unparsable text is a ModelFileError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"$: invalid JSON: {exc}") from exc
-    return model_from_dict(doc)
+
+
+def load_model(path: str) -> LevyModel:
+    return model_from_dict(_read_json(path))

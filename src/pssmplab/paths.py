@@ -101,6 +101,12 @@ def _merge_jumps(grid, jt, js):
     return times, is_jump, sizes
 
 
+def _check_path_ends(model: LevyModel, config: SimConfig) -> None:
+    """A path ends at its killing time or at a finite horizon."""
+    if model.killing == 0 and config.horizon == math.inf:
+        raise ValueError("horizon must be finite on a model without killing")
+
+
 def sample_levy_path(model: LevyModel, config: SimConfig,
                      rng: Optional[np.random.Generator] = None) -> LevyPath:
     """One path on [0, min(horizon, zeta)].
@@ -109,12 +115,11 @@ def sample_levy_path(model: LevyModel, config: SimConfig,
     drawn from their exponential clocks and inserted into the grid exactly
     (not rounded), which the Lamperti time change depends on.
     """
+    _check_path_ends(model, config)
     if rng is None:
         rng = config.rng()
     zeta = rng.exponential(1.0 / model.killing) if model.killing > 0 else math.inf
     t_end = min(config.horizon, zeta)
-    if t_end == math.inf:
-        raise ValueError("horizon must be finite on a model without killing")
     killed = zeta <= config.horizon
     truncated = not killed
 

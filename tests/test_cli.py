@@ -18,6 +18,14 @@ def brownian_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def pure_drift_file(tmp_path):
+    """A conservative model: its paths end only at a finite horizon."""
+    path = tmp_path / "pure_drift.json"
+    path.write_text(json.dumps(model_to_dict(catalog.pure_drift())))
+    return str(path)
+
+
 def test_analyze(brownian_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = cli.main(["analyze", "--model", brownian_file, "--out", str(out)])
@@ -97,25 +105,32 @@ def test_simulate_extension_flag_requirements(brownian_file, tmp_path):
     assert rec["epsilon"] == 0.05
 
 
-@pytest.mark.parametrize("kind, flags", [
-    ("levy", ["--dt", "0"]),
-    ("levy", ["--dt", "nan"]),
-    ("levy", ["--samples", "0"]),
-    ("pssmp", ["--x0", "0"]),
-    ("extension", ["--mode", "continuous", "--epsilon", "-1"]),
-    ("extension", ["--mode", "jump_in", "--epsilon", "0.05",
-                   "--beta", "nan"]),
+@pytest.mark.parametrize("model, kind, flags", [
+    ("brownian", "levy", ["--dt", "0"]),
+    ("brownian", "levy", ["--dt", "nan"]),
+    ("brownian", "levy", ["--samples", "0"]),
+    ("brownian", "pssmp", ["--x0", "0"]),
+    ("brownian", "extension", ["--mode", "continuous", "--epsilon", "-1"]),
+    ("brownian", "extension", ["--mode", "jump_in", "--epsilon", "0.05",
+                               "--beta", "nan"]),
+    ("pure_drift", "levy", ["--horizon", "inf"]),
+    ("pure_drift", "pssmp", ["--horizon", "inf"]),
 ], ids=["dt_zero", "dt_nan", "no_samples", "x0_zero", "epsilon_negative",
-        "beta_nan"])
-def test_simulate_rejects_invalid_flags(brownian_file, tmp_path, capsys,
-                                        kind, flags):
+        "beta_nan", "levy_horizon_inf_conservative",
+        "pssmp_horizon_inf_conservative"])
+def test_simulate_rejects_invalid_flags(brownian_file, pure_drift_file,
+                                        tmp_path, capsys, model, kind, flags):
+    files = {"brownian": brownian_file, "pure_drift": pure_drift_file}
     out = tmp_path / "paths.jsonl"
     with pytest.raises(SystemExit) as exc:
-        cli.main(["simulate", "--model", brownian_file, "--kind", kind,
+        cli.main(["simulate", "--model", files[model], "--kind", kind,
                   *flags, "--out", str(out)])
     assert exc.value.code == 2
-    assert "error: " in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [tmp_path / "brownian.json"]
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pssmplab simulate ")
+    assert "error: " in err
+    assert sorted(tmp_path.iterdir()) == sorted(
+        tmp_path / f"{name}.json" for name in files)
 
 
 def test_unknown_flag_is_an_error(brownian_file):
@@ -208,11 +223,13 @@ def test_suite_model_name_must_be_a_catalog_model():
         "'tempered_power_killing_for_root'"]
 
 
-def test_verify_suite_file_errors(tmp_path):
+def test_verify_suite_file_errors(tmp_path, capsys):
     assert cli.main(["verify", "--suite", str(tmp_path / "nope.json")]) == 2
+    capsys.readouterr()
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert cli.main(["verify", "--suite", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: $: invalid JSON: ")
     for doc, err in [([], r"\$: expected a JSON object"),
                      ({"checks": {}}, r"\$\.checks: expected an array"),
                      ({"checks": [{"op": "renewal"}, 1]},

@@ -13,6 +13,7 @@ from pssmplab.errors import (
     HorizonTooShort,
     HypothesisViolated,
     ModelDoesNotHitZero,
+    NoCramerRoot,
     NotDriftingUp,
 )
 from pssmplab.expfun import (
@@ -124,6 +125,10 @@ def test_negative_moment_brownian():
 def test_negative_moment_boundary_root_diverges():
     with pytest.raises(DerivativeInfinite):
         negative_moment_check(catalog.boundary_root(), 100, CFG)
+    # without a Cramer root neither J-side check exists
+    for check in (negative_moment_check, dual_identity_check):
+        with pytest.raises(NoCramerRoot):
+            check(catalog.killed_drift(), 100, CFG)
 
 
 def test_moment_of_J_dufresne_quantile_sanity():

@@ -2,13 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from pssmplab import catalog, extensions
-from pssmplab.errors import ConfigRejected
+from pssmplab.errors import ConfigRejected, NoCramerRoot
 from pssmplab.extensions import (
     ExtensionConfig,
     entrance_law,
@@ -22,6 +23,7 @@ from pssmplab.extensions import (
     simulate_extension,
 )
 from pssmplab.lamperti import PssmpPath
+from pssmplab.models import CRITICAL_TOL
 from pssmplab.paths import SimConfig, stream_rng
 
 CFG = SimConfig(dt=0.01, horizon=400.0, seed=0)
@@ -79,6 +81,20 @@ def test_extension_gates():
                                            horizon=5.0, beta=1.5))
     with pytest.raises(ConfigRejected):  # no Cramer root
         extension_gamma(catalog.killed_drift(), cont)
+    # psi(beta) = -5e-11 is inside the critical band of classify_beta
+    beta = 0.5 - 1e-10
+    assert -CRITICAL_TOL <= m.psi(beta) < 0
+    with pytest.raises(ConfigRejected):
+        extension_gamma(m, ExtensionConfig(mode="jump_in", epsilon=0.01,
+                                           horizon=5.0, beta=beta))
+    # alpha = 2.5 puts alpha*theta at 1.25: neither the continuous extension
+    # nor the entrance law exists
+    steep = replace(m, alpha=2.5)
+    with pytest.raises(ConfigRejected):
+        extension_gamma(steep, cont)
+    for model in (catalog.killed_drift(), steep):
+        with pytest.raises(NoCramerRoot):
+            entrance_law(model, 1.0, {"kind": "one"}, 100, CFG)
 
 
 def test_jump_in_restart_law():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +311,13 @@ def test_hits_zero():
     assert catalog.brownian().hits_zero()
     assert catalog.pure_drift().hits_zero()
     assert not LevyModel(drift=1.0).hits_zero()
+
+
+def test_readme_model_file_example_is_two_sided():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Model files", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert model_from_dict(json.loads(block)) == catalog.two_sided()
 
 
 def test_jump_sampler_laws():

@@ -61,6 +61,13 @@ def test_renewal_problem_validation():
     with pytest.raises(ValueError):
         RenewalProblem(tail={"kind": "pareto", "gamma": 0.75}, gamma=0.75,
                        dx=0.0, t_max=10.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dx must be finite"):
+            RenewalProblem(tail={"kind": "pareto", "gamma": 0.75},
+                           gamma=0.75, dx=bad, t_max=10.0)
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            RenewalProblem(tail={"kind": "pareto", "gamma": 0.75},
+                           gamma=0.75, dx=0.05, t_max=bad)
     p = RenewalProblem(tail={"kind": "weird"}, gamma=0.75, dx=0.05,
                        t_max=10.0)
     with pytest.raises(ValueError):
