@@ -16,7 +16,7 @@ from .expfun import (
 from .extensions import (
     ExtensionConfig,
     ExtensionPath,
-    entrance_law,
+    entrance_mass_check,
     excursion_normalization_check,
     occupation_histogram,
     resolvent_crosscheck,

@@ -30,7 +30,6 @@ from scipy import special
 from .errors import BetaOutOfRange, ConfigRejected, NoCramerRoot
 from .expfun import (
     CheckReport,
-    ExpFunEstimate,
     mean_se,
     moment,
     sample_I_batch,
@@ -48,7 +47,7 @@ from .models import (
 from .paths import SimConfig, sample_levy_path
 
 __all__ = ["ExtensionConfig", "ExtensionPath", "sample_jump_in_restart",
-           "simulate_extension", "entrance_law", "entrance_law_curve",
+           "simulate_extension", "entrance_mass_check", "entrance_law_curve",
            "excursion_normalization_check", "resolvent_crosscheck",
            "occupation_histogram", "make_test_function"]
 
@@ -73,6 +72,9 @@ def make_test_function(spec: Union[Callable, dict]) -> Callable:
     """
     if callable(spec):
         return spec
+    if not isinstance(spec, dict):
+        raise ValueError(f"test function f: expected an object or a "
+                         f"callable, got {spec!r}")
     kind = spec.get("kind")
     if kind == "one":
         return lambda x: np.ones_like(np.asarray(x, dtype=float))
@@ -253,16 +255,13 @@ class EntranceCurve:
     std_errs: np.ndarray
     n: int
     censored: int
+    alpha_theta: float
 
 
-def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
-                       config: SimConfig) -> EntranceCurve:
-    """Entrance-law functional over a whole t-grid from one shared J batch;
-    the normalizer is estimated on an independent stream."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    for t in t_grid.tolist():
-        _check_positive("t", t)
-    theta, at, tilted = _tilted_setup(model)
+def _entrance_curve(model: LevyModel, tilt, t_grid: np.ndarray, f, n: int,
+                    config: SimConfig) -> EntranceCurve:
+    """entrance_law_curve under the tilt ``_tilted_setup(model)``."""
+    _, at, tilted = tilt
     func = make_test_function(f)
     alpha = model.alpha
 
@@ -284,23 +283,47 @@ def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
         values[i] = v
         ses[i] = abs(v) * rel if num != 0 else num_se / scale
     return EntranceCurve(t_grid=t_grid, values=values, std_errs=ses, n=n,
-                         censored=int(jc.sum()) + den.censored)
+                         censored=int(jc.sum()) + den.censored,
+                         alpha_theta=at)
 
 
-def entrance_law(model: LevyModel, t: float, f, n: int, config: SimConfig):
-    """n(f(X_t), t < T_0) as an ExpFunEstimate-style (value, se) report."""
-    curve = entrance_law_curve(model, np.array([t]), f, n, config)
-    return ExpFunEstimate(value=float(curve.values[0]),
-                          std_err=float(curve.std_errs[0]), n=n,
-                          censored=curve.censored)
+def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
+                       config: SimConfig) -> EntranceCurve:
+    """Entrance-law functional over a whole t-grid from one shared J batch;
+    the normalizer is estimated on an independent stream."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    for t in t_grid.tolist():
+        _check_positive("t", t)
+    return _entrance_curve(model, _tilted_setup(model), t_grid, f, n, config)
 
 
-def _u_substitution_grid(at: float, t_max: float, m: int):
-    """Grid in u = t^{1-at}; regularizes the t^{-at} singularity at 0."""
+def entrance_mass_check(model: LevyModel, t: float, n: int,
+                        config: SimConfig) -> CheckReport:
+    """Monte Carlo entrance mass n(t < T_0), the entrance law at f = 1,
+    against its exact value t^{-at}/Gamma(1-at)."""
+    curve = entrance_law_curve(model, np.array([t]), {"kind": "one"}, n,
+                               config)
+    at = curve.alpha_theta
+    return CheckReport(lhs=float(curve.values[0]),
+                       rhs=t ** (-at) / float(special.gamma(1.0 - at)),
+                       std_err=float(curve.std_errs[0]), n=n,
+                       censored=curve.censored)
+
+
+def _time_integrand(model: LevyModel, tilt, lam: float, f, m: int, n: int,
+                    config: SimConfig):
+    """e^{-lam t} n(f(X_t)) dt in u = t^{1-at}, dt = t^{at}/(1-at) du, which
+    keeps it bounded at 0: its values and SE twin on m u-nodes up to
+    t = _E_FOLDS/lam, the node spacing du and the censored count."""
+    at = tilt[1]
     p = 1.0 - at
-    u = np.linspace(0.0, t_max ** p, m + 1)[1:]
+    u = np.linspace(0.0, (_E_FOLDS / lam) ** p, m + 1)[1:]
     t = u ** (1.0 / p)
-    return u, t
+    curve = _entrance_curve(model, tilt, t, f, n, config)
+    decay, jac = np.exp(-lam * t), t ** at
+    g = decay * curve.values * jac / p
+    gse = decay * curve.std_errs * jac / p
+    return g, gse, u[1] - u[0], curve.censored
 
 
 def excursion_normalization_check(model: LevyModel, n: int,
@@ -308,17 +331,11 @@ def excursion_normalization_check(model: LevyModel, n: int,
     """Check that the Monte Carlo entrance law integrates e^{-t} to 1.
 
     With f = 1 the entrance mass is t^{-at}/Gamma(1-at) and the integral
-    is exactly 1; quadrature uses the u = t^{1-at} substitution so the
-    integrand is bounded at 0.  Reports the value at two grid resolutions.
+    is exactly 1.  Reports the value at two grid resolutions.
     """
-    _, at, _ = _tilted_setup(model)
-    p = 1.0 - at
-    u, t = _u_substitution_grid(at, _E_FOLDS, _NORMALIZATION_NODES)
-    curve = entrance_law_curve(model, t, {"kind": "one"}, n, config)
-    # integrand in u: e^{-t} * value(t) * t^{at} / p  (dt = t^{at}/p du)
-    g = np.exp(-t) * curve.values * t ** at / p
-    gse = np.exp(-t) * curve.std_errs * t ** at / p
-    du = u[1] - u[0]
+    g, gse, du, censored = _time_integrand(
+        model, _tilted_setup(model), 1.0, {"kind": "one"},
+        _NORMALIZATION_NODES, n, config)
     value = float(np.trapezoid(np.concatenate(([g[0]], g)), dx=du))
     # shared samples across t: treat node errors as fully correlated
     se = float(np.trapezoid(np.concatenate(([gse[0]], gse)), dx=du))
@@ -326,7 +343,8 @@ def excursion_normalization_check(model: LevyModel, n: int,
     coarse = float(np.trapezoid(np.concatenate(([g[1]], g[1::2])),
                                 dx=2.0 * du))
     change = abs(value - coarse) / abs(value)
-    return {"value": value, "se": se, "grid_change": change, "n": n}
+    return {"value": value, "se": se, "grid_change": change, "n": n,
+            "censored": censored}
 
 
 def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
@@ -339,7 +357,8 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     sampled under the dual of the tilted model.
     """
     _check_positive("lambda", lam)
-    theta, at, tilted = _tilted_setup(model)
+    tilt = _tilted_setup(model)
+    theta, at, tilted = tilt
     alpha = model.alpha
     func = make_test_function(f)
 
@@ -357,13 +376,9 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
                          "needs an f with compact support inside it")
     a, b = probe[on][0] * 0.999, probe[on][-1] * 1.001
 
-    # --- lhs: t-quadrature with the u-substitution grid
-    p = 1.0 - at
-    u, t = _u_substitution_grid(at, _E_FOLDS / lam, _RESOLVENT_T_NODES)
-    curve = entrance_law_curve(model, t, func, n, config)
-    g = np.exp(-lam * t) * curve.values * t ** at / p
-    gse = np.exp(-lam * t) * curve.std_errs * t ** at / p
-    du = u[1] - u[0]
+    # --- lhs: t-quadrature of the entrance law
+    g, gse, du, lhs_censored = _time_integrand(
+        model, tilt, lam, func, _RESOLVENT_T_NODES, n, config)
     lhs = float(np.trapezoid(np.concatenate(([0.0], g)), dx=du))
     lhs_se = float(np.trapezoid(np.concatenate(([0.0], gse)), dx=du))
 
@@ -371,8 +386,7 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     hat = dual(tilted)
     iv, ic = sample_I_batch(hat, n, config.substream(2))
     iv = iv[~ic]
-    iv2, ic2 = sample_I_batch(hat, n, config.substream(3))
-    den, den_se = mean_se(iv2[~ic2] ** (at - 1.0))
+    den = moment(hat, at - 1.0, n, config.substream(3))
 
     nodes, weights = np.polynomial.legendre.leggauss(_RESOLVENT_X_NODES)
     x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
@@ -386,11 +400,12 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     shape = func(x) * x ** (1.0 / alpha - 1.0 - theta)
     integral = float(np.sum(wq * shape * laplace))
     integral_se = float(np.sum(wq * shape * laplace_se))
-    norm = alpha * float(special.gamma(1.0 - at)) * den
+    norm = alpha * float(special.gamma(1.0 - at)) * den.value
     rhs = integral / norm
     rhs_se = abs(rhs) * math.hypot(
-        integral_se / integral if integral != 0 else 0.0, den_se / den)
+        integral_se / integral if integral != 0 else 0.0,
+        den.std_err / den.value)
 
     return CheckReport(lhs=lhs, rhs=rhs, std_err=math.hypot(lhs_se, rhs_se),
-                       n=n, censored=int(ic.sum() + ic2.sum())
-                       + curve.censored)
+                       n=n, censored=int(ic.sum()) + den.censored
+                       + lhs_censored)

@@ -153,7 +153,11 @@ def _renewal_value(problem: RenewalProblem, g: Callable, dx: float) -> float:
     j = int(round(t / dx))
     # sum over renewal points y <= grid end; g may look left of 0
     y = grid[:u_mass.size]
-    return float(m_cum[min(j, m_cum.size - 1)] * np.sum(g(t - y) * u_mass))
+    gv = g(t - y)
+    if not np.any(gv):
+        raise ValueError(f"g is zero at every lattice point of [0, "
+                         f"t_max={t:g}]")
+    return float(m_cum[min(j, m_cum.size - 1)] * np.sum(gv * u_mass))
 
 
 def renewal_limit(problem: RenewalProblem, g: Union[Callable, dict]) -> dict:
@@ -172,8 +176,13 @@ def renewal_limit(problem: RenewalProblem, g: Union[Callable, dict]) -> dict:
         g_fn = g
         lo, hi = -problem.t_max, problem.t_max
         total_g, _ = integrate.quad(g_fn, lo, hi, limit=400)
+    elif not isinstance(g, dict):
+        raise ValueError(f"g: expected an object or a callable, got {g!r}")
     elif g.get("kind") == "indicator":
         a, b = float(g["a"]), float(g["b"])
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ValueError(f"g: indicator needs finite a < b, got a={a}, "
+                             f"b={b}")
         g_fn = lambda y: ((np.asarray(y) >= a) & (np.asarray(y) < b)).astype(float)
         total_g = b - a
     else:
@@ -200,6 +209,10 @@ def hill_estimate(samples: np.ndarray, k: Optional[int] = None) -> float:
     x = x[x > 0]
     if k is None:
         k = max(10, int(math.sqrt(x.size)))
+    if x.size < k + 1:
+        raise TooFewSamples(f"a Hill estimate from the top k={k} order "
+                            f"statistics needs at least {k + 1} positive "
+                            f"samples, got {x.size}")
     top = x[-k - 1:]
     logs = np.log(top[1:]) - math.log(top[0])
     return 1.0 / float(logs.mean())

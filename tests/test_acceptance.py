@@ -29,8 +29,8 @@ from pssmplab.expfun import (
 )
 from pssmplab.extensions import (
     ExtensionConfig,
-    entrance_law,
     entrance_law_curve,
+    entrance_mass_check,
     excursion_normalization_check,
     extension_gamma,
     occupation_histogram,
@@ -144,8 +144,8 @@ def test_criterion_05_duality():
 def test_criterion_06_entrance_law():
     m = catalog.brownian()
     n = 100000
-    mass = entrance_law(m, 1.0, {"kind": "one"}, n, CFG)
-    z_mass = abs(mass.value - 1.0 / math.gamma(0.5)) / mass.std_err
+    mass = entrance_mass_check(m, 1.0, n, CFG)
+    z_mass = abs(mass.lhs - 1.0 / math.gamma(0.5)) / mass.std_err
 
     curve = entrance_law_curve(m, np.array([0.5, 1.0, 2.0]),
                                {"kind": "power", "p": 0.5}, n,
@@ -157,7 +157,7 @@ def test_criterion_06_entrance_law():
 
     norm = excursion_normalization_check(m, n, CFG.substream(20))
     ok = z_mass < 4.0 and z_pair < 4.0 and abs(norm["value"] - 1.0) < 0.05
-    _report(6, ok, f"mass={mass.value:.4f} vs 0.5642 (z={z_mass:.2f}); "
+    _report(6, ok, f"mass={mass.lhs:.4f} vs 0.5642 (z={z_mass:.2f}); "
                    f"x^theta t-constancy max z={z_pair:.2f}; "
                    f"normalization={norm['value']:.4f}")
 

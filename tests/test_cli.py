@@ -166,11 +166,32 @@ def test_verify_custom_suite(tmp_path):
     ]}, seed=0)
     norm, res = report["checks"]
     assert "error" not in norm and "error" not in res
-    assert set(norm) == {"op", "value", "se", "grid_change", "n", "pass"}
+    assert set(norm) == {"op", "value", "se", "grid_change", "n", "censored",
+                         "pass"}
+    assert isinstance(norm["censored"], int)
     assert set(res) == {"op", "lhs", "rhs", "se", "z", "n", "censored",
                         "pass"}
     assert all(math.isfinite(norm[k]) for k in ("value", "se", "grid_change"))
     assert all(math.isfinite(res[k]) for k in ("lhs", "rhs", "se", "z"))
+
+
+def test_verify_entrance_law_record(tmp_path):
+    # the entrance_law op records the keys of every z-gated op, with a JSON
+    # boolean verdict
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"checks": [
+        {"op": "entrance_law", "model": "brownian", "t": 1.0, "n": 500}]}))
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--suite", str(suite), "--out", str(out)])
+    doc = json.loads(out.read_text())
+    rec = doc["checks"][0]
+    assert set(rec) == {"op", "lhs", "rhs", "se", "z", "n", "censored",
+                        "pass"}
+    assert rec["pass"] in (True, False)
+    assert code == (0 if rec["pass"] else 1)
+    assert rec["rhs"] == pytest.approx(1.0 / math.gamma(0.5), rel=1e-9)
+    assert rec["n"] == 500 and rec["censored"] == 0
+    assert math.isfinite(rec["z"])
 
 
 def test_verify_records_errors_and_exits_nonzero(tmp_path):
@@ -202,11 +223,20 @@ def test_suite_check_field_errors_are_recorded():
         {"op": "renewal", "n": "abc"},
         {"op": "renewal", "dt": 0},
         {"op": "renewal", "dx": 0.1, "t_max": 50.0, "rel_tol": 0.5},
+        {"op": "resolvent", "model": "brownian", "f": 3, "n": 200},
+        {"op": "renewal", "g": {"kind": "indicator", "a": 1.0, "b": 0.0}},
+        {"op": "renewal", "g": {"kind": "indicator", "a": 300, "b": 400}},
     ]}, seed=0)
-    bad_n, bad_dt, ok = report["checks"]
+    bad_n, bad_dt, ok, bad_f, empty_g, far_g = report["checks"]
     assert bad_n["error"].startswith("ValueError: invalid literal for int()")
     assert bad_dt["error"] == "ValueError: dt must be > 0"
-    assert not bad_n["pass"] and not bad_dt["pass"]
+    assert bad_f["error"] == "ValueError: test function f: expected an " \
+        "object or a callable, got 3"
+    assert empty_g["error"] == "ValueError: g: indicator needs finite a < b, " \
+        "got a=1.0, b=0.0"
+    assert far_g["error"] == "ValueError: g is zero at every lattice point " \
+        "of [0, t_max=200]"
+    assert not any(c["pass"] for c in (bad_n, bad_dt, bad_f, empty_g, far_g))
     assert "error" not in ok and ok["pass"]
 
 

@@ -2,18 +2,19 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from pssmplab import catalog, extensions
+from pssmplab import catalog, cli, extensions, models
 from pssmplab.errors import ConfigRejected, NoCramerRoot
 from pssmplab.extensions import (
     ExtensionConfig,
-    entrance_law,
     entrance_law_curve,
+    entrance_mass_check,
     excursion_normalization_check,
     extension_gamma,
     make_test_function,
@@ -44,6 +45,8 @@ def test_test_function_catalog():
     assert make_test_function(f) is f
     with pytest.raises(ValueError):
         make_test_function({"kind": "mystery"})
+    with pytest.raises(ValueError, match="test function f: expected an object"):
+        make_test_function(3)
 
 
 def test_extension_config_validation():
@@ -94,7 +97,7 @@ def test_extension_gates():
         extension_gamma(steep, cont)
     for model in (catalog.killed_drift(), steep):
         with pytest.raises(NoCramerRoot):
-            entrance_law(model, 1.0, {"kind": "one"}, 100, CFG)
+            entrance_mass_check(model, 1.0, 100, CFG)
 
 
 def test_jump_in_restart_law():
@@ -181,8 +184,37 @@ def test_occupation_histogram_rejects_zero_duration():
 
 def test_entrance_law_mass_brownian():
     # f = 1 at t = 1: mass is 1/Gamma(1 - alpha*theta) = 1/Gamma(1/2)
-    est = entrance_law(catalog.brownian(), 1.0, {"kind": "one"}, 20000, CFG)
-    assert abs(est.value - 0.5641895835) < 5.0 * est.std_err
+    rep = entrance_mass_check(catalog.brownian(), 1.0, 20000, CFG)
+    assert rep.rhs == pytest.approx(0.5641895835, abs=1e-9)
+    assert abs(rep.lhs - 0.5641895835) < 5.0 * rep.std_err
+    assert rep.n == 20000 and rep.censored == 0
+
+
+def test_entrance_law_checks_solve_the_cramer_root_once(monkeypatch):
+    # each check reads alpha*theta, theta and the tilt from one root solve
+    real = models.cramer_root
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return real(model)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("pssmplab") and \
+                getattr(mod, "cramer_root", None) is real:
+            monkeypatch.setattr(mod, "cramer_root", counted)
+    m = catalog.brownian()
+    bump = {"kind": "bump", "a": 0.5, "b": 1.5}
+    for run in (lambda: excursion_normalization_check(m, 200, CFG),
+                lambda: resolvent_crosscheck(m, 1.0, bump, 200, CFG),
+                lambda: entrance_mass_check(m, 1.0, 200, CFG),
+                lambda: cli.run_suite({"checks": [
+                    {"op": "entrance_law", "model": "brownian", "n": 200}]},
+                    seed=0)):
+        calls.clear()
+        out = run()
+        assert len(calls) == 1
+    assert "error" not in out["checks"][0]
 
 
 def test_entrance_law_power_theta_is_t_constant():
@@ -216,6 +248,7 @@ def test_resolvent_crosscheck_rejects_f_nonzero_at_probe_ends(spec,
         raise AssertionError("sampled before the support probe")
 
     monkeypatch.setattr(extensions, "entrance_law_curve", no_sampling)
+    monkeypatch.setattr(extensions, "sample_J_batch", no_sampling)
     monkeypatch.setattr(extensions, "sample_I_batch", no_sampling)
     with pytest.raises(ValueError, match="function f is nonzero"):
         resolvent_crosscheck(catalog.brownian(), 1.0, spec, 5000, CFG)
@@ -236,4 +269,4 @@ def test_out_of_domain_lambda_and_t_are_rejected_before_sampling(
         entrance_law_curve(catalog.brownian(), np.array([1.0, bad]),
                            {"kind": "one"}, 100, CFG)
     with pytest.raises(ValueError, match="t must be finite and > 0"):
-        entrance_law(catalog.brownian(), bad, {"kind": "one"}, 100, CFG)
+        entrance_mass_check(catalog.brownian(), bad, 100, CFG)

@@ -101,10 +101,34 @@ def test_renewal_limit_callable_inputs():
     assert res["value"] > 0 and res["target"] > 0
 
 
+@pytest.mark.parametrize("g, match", [
+    ({"kind": "indicator", "a": 1.0, "b": 0.0}, "g: indicator needs finite"),
+    ({"kind": "indicator", "a": 0.0, "b": math.inf},
+     "g: indicator needs finite"),
+    ({"kind": "indicator", "a": 300.0, "b": 400.0},
+     "g is zero at every lattice point"),
+    (lambda y: np.zeros_like(np.asarray(y, dtype=float)),
+     "g is zero at every lattice point"),
+    (3, "g: expected an object or a callable"),
+])
+def test_renewal_limit_rejects_g_without_lattice_mass(g, match):
+    p = RenewalProblem(tail={"kind": "pareto", "gamma": 0.75}, gamma=0.75,
+                       dx=0.05, t_max=200.0)
+    with pytest.raises(ValueError, match=match):
+        renewal_limit(p, g)
+
+
 def test_hill_estimate_pareto():
     rng = np.random.default_rng(1)
     x = rng.pareto(2.0, size=50000) + 1.0
     assert hill_estimate(x, k=2000) == pytest.approx(2.0, abs=0.3)
+
+
+@pytest.mark.parametrize("x", [[2.0], [], [1.0, 2.0, 3.0],
+                               [-1.0] * 20 + [2.0] * 10])
+def test_hill_estimate_needs_k_plus_one_positive_samples(x):
+    with pytest.raises(TooFewSamples, match="needs at least 11 positive"):
+        hill_estimate(np.array(x))
 
 
 def test_counterexample_demo():
