@@ -261,6 +261,9 @@ class EntranceCurve:
 def _entrance_curve(model: LevyModel, tilt, t_grid: np.ndarray, f, n: int,
                     config: SimConfig) -> EntranceCurve:
     """entrance_law_curve under the tilt ``_tilted_setup(model)``."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    for t in t_grid.tolist():
+        _check_positive("t", t)
     _, at, tilted = tilt
     func = make_test_function(f)
     alpha = model.alpha
@@ -291,9 +294,6 @@ def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
                        config: SimConfig) -> EntranceCurve:
     """Entrance-law functional over a whole t-grid from one shared J batch;
     the normalizer is estimated on an independent stream."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    for t in t_grid.tolist():
-        _check_positive("t", t)
     return _entrance_curve(model, _tilted_setup(model), t_grid, f, n, config)
 
 
@@ -386,7 +386,8 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     hat = dual(tilted)
     iv, ic = sample_I_batch(hat, n, config.substream(2))
     iv = iv[~ic]
-    den = moment(hat, at - 1.0, n, config.substream(3))
+    iv2, ic2 = sample_I_batch(hat, n, config.substream(3))
+    den, den_se = mean_se(iv2[~ic2] ** (at - 1.0))
 
     nodes, weights = np.polynomial.legendre.leggauss(_RESOLVENT_X_NODES)
     x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
@@ -400,12 +401,11 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     shape = func(x) * x ** (1.0 / alpha - 1.0 - theta)
     integral = float(np.sum(wq * shape * laplace))
     integral_se = float(np.sum(wq * shape * laplace_se))
-    norm = alpha * float(special.gamma(1.0 - at)) * den.value
+    norm = alpha * float(special.gamma(1.0 - at)) * den
     rhs = integral / norm
     rhs_se = abs(rhs) * math.hypot(
-        integral_se / integral if integral != 0 else 0.0,
-        den.std_err / den.value)
+        integral_se / integral if integral != 0 else 0.0, den_se / den)
 
     return CheckReport(lhs=lhs, rhs=rhs, std_err=math.hypot(lhs_se, rhs_se),
-                       n=n, censored=int(ic.sum()) + den.censored
+                       n=n, censored=int(ic.sum() + ic2.sum())
                        + lhs_censored)

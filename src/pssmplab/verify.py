@@ -153,11 +153,7 @@ def _renewal_value(problem: RenewalProblem, g: Callable, dx: float) -> float:
     j = int(round(t / dx))
     # sum over renewal points y <= grid end; g may look left of 0
     y = grid[:u_mass.size]
-    gv = g(t - y)
-    if not np.any(gv):
-        raise ValueError(f"g is zero at every lattice point of [0, "
-                         f"t_max={t:g}]")
-    return float(m_cum[min(j, m_cum.size - 1)] * np.sum(gv * u_mass))
+    return float(m_cum[min(j, m_cum.size - 1)] * np.sum(g(t - y) * u_mass))
 
 
 def renewal_limit(problem: RenewalProblem, g: Union[Callable, dict]) -> dict:
@@ -190,6 +186,9 @@ def renewal_limit(problem: RenewalProblem, g: Union[Callable, dict]) -> dict:
 
     coarse = _renewal_value(problem, g_fn, problem.dx)
     fine = _renewal_value(problem, g_fn, problem.dx / 2.0)
+    if fine == 0:
+        raise ValueError(f"g sums to zero over the lattice of [0, t_max="
+                         f"{problem.t_max:g}] at dx={problem.dx / 2.0:g}")
     move = abs(fine - coarse) / abs(fine)
     if move > 0.02:
         raise GridTooCoarse(

@@ -234,8 +234,8 @@ def test_suite_check_field_errors_are_recorded():
         "object or a callable, got 3"
     assert empty_g["error"] == "ValueError: g: indicator needs finite a < b, " \
         "got a=1.0, b=0.0"
-    assert far_g["error"] == "ValueError: g is zero at every lattice point " \
-        "of [0, t_max=200]"
+    assert far_g["error"] == "ValueError: g sums to zero over the lattice " \
+        "of [0, t_max=200] at dx=0.025"
     assert not any(c["pass"] for c in (bad_n, bad_dt, bad_f, empty_g, far_g))
     assert "error" not in ok and ok["pass"]
 

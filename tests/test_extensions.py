@@ -24,7 +24,7 @@ from pssmplab.extensions import (
     simulate_extension,
 )
 from pssmplab.lamperti import PssmpPath
-from pssmplab.models import CRITICAL_TOL
+from pssmplab.models import CRITICAL_TOL, LevyModel
 from pssmplab.paths import SimConfig, stream_rng
 
 CFG = SimConfig(dt=0.01, horizon=400.0, seed=0)
@@ -239,6 +239,28 @@ def test_resolvent_crosscheck_small():
     assert rep.lhs > 0 and rep.rhs > 0
 
 
+def test_resolvent_crosscheck_conservative_drifting_brownian():
+    # killing 0: the dual normalizer's exponent sits on the boundary
+    # psi_dual(theta) = -psi(theta) = 0, which the bisected root meets
+    # only to rounding, of either sign; the check must not depend on it
+    model = LevyModel(drift=-0.5, gaussian=1.0, killing=0.0, alpha=0.5)
+    rep = resolvent_crosscheck(model, 1.0,
+                               {"kind": "bump", "a": 0.5, "b": 1.5}, 2000, CFG)
+    assert rep.lhs > 0 and rep.rhs > 0
+    assert rep.z_score < 5.0
+
+
+def test_time_quadrature_nodes_that_underflow_to_zero_are_an_error():
+    # alpha*theta is 1 up to the bisected root's rounding, so the u-grid's
+    # t = u^{1/(1-at)} underflows to 0: an error, not a NaN result
+    model = LevyModel(drift=-0.5, gaussian=1.0, killing=0.0, alpha=1.0)
+    bump = {"kind": "bump", "a": 0.5, "b": 1.5}
+    with pytest.raises(ValueError, match="t must be finite and > 0"):
+        excursion_normalization_check(model, 200, CFG)
+    with pytest.raises(ValueError, match="t must be finite and > 0"):
+        resolvent_crosscheck(model, 1.0, bump, 200, CFG)
+
+
 @pytest.mark.parametrize("spec", [{"kind": "one"}, {"kind": "power", "p": 1}])
 def test_resolvent_crosscheck_rejects_f_nonzero_at_probe_ends(spec,
                                                               monkeypatch):
@@ -247,7 +269,6 @@ def test_resolvent_crosscheck_rejects_f_nonzero_at_probe_ends(spec,
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the support probe")
 
-    monkeypatch.setattr(extensions, "entrance_law_curve", no_sampling)
     monkeypatch.setattr(extensions, "sample_J_batch", no_sampling)
     monkeypatch.setattr(extensions, "sample_I_batch", no_sampling)
     with pytest.raises(ValueError, match="function f is nonzero"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pssmplab import catalog
-from pssmplab.errors import BetaOutOfRange, TooFewSamples
+from pssmplab.errors import BetaOutOfRange, GridTooCoarse, TooFewSamples
 from pssmplab.paths import SimConfig
 from pssmplab.verify import (
     KsReport,
@@ -106,9 +106,9 @@ def test_renewal_limit_callable_inputs():
     ({"kind": "indicator", "a": 0.0, "b": math.inf},
      "g: indicator needs finite"),
     ({"kind": "indicator", "a": 300.0, "b": 400.0},
-     "g is zero at every lattice point"),
+     "g sums to zero over the lattice"),
     (lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-     "g is zero at every lattice point"),
+     "g sums to zero over the lattice"),
     (3, "g: expected an object or a callable"),
 ])
 def test_renewal_limit_rejects_g_without_lattice_mass(g, match):
@@ -116,6 +116,15 @@ def test_renewal_limit_rejects_g_without_lattice_mass(g, match):
                        dx=0.05, t_max=200.0)
     with pytest.raises(ValueError, match=match):
         renewal_limit(p, g)
+
+
+def test_renewal_limit_g_missing_only_the_coarse_lattice_is_grid_too_coarse():
+    # the fine lattice (dx/2 = 0.025) hits [0.02, 0.03), the coarse one
+    # does not: a smaller dx is the fix, not a different g
+    p = RenewalProblem(tail={"kind": "pareto", "gamma": 0.75}, gamma=0.75,
+                       dx=0.05, t_max=200.0)
+    with pytest.raises(GridTooCoarse, match="halving dx"):
+        renewal_limit(p, {"kind": "indicator", "a": 0.02, "b": 0.03})
 
 
 def test_hill_estimate_pareto():
