@@ -17,7 +17,6 @@ from .extensions import (
     ExtensionConfig,
     ExtensionPath,
     entrance_mass_check,
-    excursion_normalization_check,
     occupation_histogram,
     resolvent_crosscheck,
     sample_jump_in_restart,

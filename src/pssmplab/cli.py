@@ -110,12 +110,6 @@ def _run_check(check: dict, seed: int, stream_base: int) -> dict:
             rep = _Z_CHECKS[op](_suite_model(check), check, n, cfg)
             out.update(rep.to_json())
             out["pass"] = bool(rep.z_score < z_max)
-        elif op == "normalization":
-            model = _suite_model(check)
-            rep = extensions.excursion_normalization_check(model, n, cfg)
-            tol = float(check.get("rel_tol", 0.05))
-            out.update(rep)
-            out["pass"] = abs(rep["value"] - 1.0) < tol
         elif op == "scaling":
             model = _suite_model(check)
             seeds = int(check.get("seeds", 20))

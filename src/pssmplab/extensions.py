@@ -4,7 +4,8 @@ Two ways back from 0: restart by a jump drawn from the truncated power
 measure eta_beta(dx) = beta * x^{-1-beta} dx, or restart "continuously" from
 a fixed small epsilon.  Both are epsilon-approximations of the exact
 excursion synthesis: the process is glued excursion after excursion with zero
-time spent at 0, and epsilon is recorded so callers can extrapolate.
+time spent at 0.  The path records its epsilon, but nothing here
+extrapolates in epsilon, and the epsilon bias is not measured.
 
 Independently of the glued path, the entrance law of the excursion measure is
 evaluated through its closed-form representation in terms of the exponential
@@ -39,6 +40,8 @@ from .lamperti import _check_positive, levy_to_pssmp
 from .models import (
     BetaClass,
     LevyModel,
+    _interval,
+    _number,
     classify_beta,
     cramer_root,
     dual,
@@ -48,13 +51,12 @@ from .paths import SimConfig, sample_levy_path
 
 __all__ = ["ExtensionConfig", "ExtensionPath", "sample_jump_in_restart",
            "simulate_extension", "entrance_mass_check", "entrance_law_curve",
-           "excursion_normalization_check", "resolvent_crosscheck",
-           "occupation_histogram", "make_test_function"]
+           "resolvent_crosscheck", "occupation_histogram",
+           "make_test_function"]
 
-# time quadratures of the entrance law run to t_max = _E_FOLDS / lam, where
-# the weight e^{-lam t} is e^{-40}
+# the resolvent's time quadrature runs to t_max = _E_FOLDS / lam, where the
+# weight e^{-lam t} is e^{-40}
 _E_FOLDS = 40.0
-_NORMALIZATION_NODES = 512   # t nodes of excursion_normalization_check
 _RESOLVENT_T_NODES = 256     # t nodes of resolvent_crosscheck
 _RESOLVENT_X_NODES = 64      # Gauss-Legendre x nodes of resolvent_crosscheck
 
@@ -69,6 +71,8 @@ def make_test_function(spec: Union[Callable, dict]) -> Callable:
     Specs: {"kind": "one"}, {"kind": "power", "p": p},
     {"kind": "indicator", "a": a, "b": b},
     {"kind": "bump", "a": a, "b": b} (smooth, supported on [a, b]).
+    Each field is a finite number, named by its path (``f.p``) when it is
+    not, and a < b.
     """
     if callable(spec):
         return spec
@@ -79,13 +83,13 @@ def make_test_function(spec: Union[Callable, dict]) -> Callable:
     if kind == "one":
         return lambda x: np.ones_like(np.asarray(x, dtype=float))
     if kind == "power":
-        p = float(spec["p"])
+        p = _number(spec, "p", "f")
         return lambda x: np.asarray(x, dtype=float) ** p
     if kind == "indicator":
-        a, b = float(spec["a"]), float(spec["b"])
+        a, b = _interval(spec, "f")
         return lambda x: ((np.asarray(x) >= a) & (np.asarray(x) <= b)).astype(float)
     if kind == "bump":
-        a, b = float(spec["a"]), float(spec["b"])
+        a, b = _interval(spec, "f")
 
         def bump(x):
             x = np.asarray(x, dtype=float)
@@ -310,43 +314,6 @@ def entrance_mass_check(model: LevyModel, t: float, n: int,
                        censored=curve.censored)
 
 
-def _time_integrand(model: LevyModel, tilt, lam: float, f, m: int, n: int,
-                    config: SimConfig):
-    """e^{-lam t} n(f(X_t)) dt in u = t^{1-at}, dt = t^{at}/(1-at) du, which
-    keeps it bounded at 0: its values and SE twin on m u-nodes up to
-    t = _E_FOLDS/lam, the node spacing du and the censored count."""
-    at = tilt[1]
-    p = 1.0 - at
-    u = np.linspace(0.0, (_E_FOLDS / lam) ** p, m + 1)[1:]
-    t = u ** (1.0 / p)
-    curve = _entrance_curve(model, tilt, t, f, n, config)
-    decay, jac = np.exp(-lam * t), t ** at
-    g = decay * curve.values * jac / p
-    gse = decay * curve.std_errs * jac / p
-    return g, gse, u[1] - u[0], curve.censored
-
-
-def excursion_normalization_check(model: LevyModel, n: int,
-                                  config: SimConfig) -> dict:
-    """Check that the Monte Carlo entrance law integrates e^{-t} to 1.
-
-    With f = 1 the entrance mass is t^{-at}/Gamma(1-at) and the integral
-    is exactly 1.  Reports the value at two grid resolutions.
-    """
-    g, gse, du, censored = _time_integrand(
-        model, _tilted_setup(model), 1.0, {"kind": "one"},
-        _NORMALIZATION_NODES, n, config)
-    value = float(np.trapezoid(np.concatenate(([g[0]], g)), dx=du))
-    # shared samples across t: treat node errors as fully correlated
-    se = float(np.trapezoid(np.concatenate(([gse[0]], gse)), dx=du))
-    # half resolution reuses every other node of the same curve
-    coarse = float(np.trapezoid(np.concatenate(([g[1]], g[1::2])),
-                                dx=2.0 * du))
-    change = abs(value - coarse) / abs(value)
-    return {"value": value, "se": se, "grid_change": change, "n": n,
-            "censored": censored}
-
-
 def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
                          config: SimConfig) -> CheckReport:
     """Resolvent of the excursion measure by two independent pipelines.
@@ -376,9 +343,16 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
                          "needs an f with compact support inside it")
     a, b = probe[on][0] * 0.999, probe[on][-1] * 1.001
 
-    # --- lhs: t-quadrature of the entrance law
-    g, gse, du, lhs_censored = _time_integrand(
-        model, tilt, lam, func, _RESOLVENT_T_NODES, n, config)
+    # --- lhs: t-quadrature of the entrance law, in u = t^{1-at} with
+    # dt = t^{at}/(1-at) du, which keeps the integrand bounded at 0
+    p = 1.0 - at
+    u = np.linspace(0.0, (_E_FOLDS / lam) ** p, _RESOLVENT_T_NODES + 1)[1:]
+    t = u ** (1.0 / p)
+    curve = _entrance_curve(model, tilt, t, func, n, config)
+    decay, jac = np.exp(-lam * t), t ** at
+    g = decay * curve.values * jac / p
+    gse = decay * curve.std_errs * jac / p
+    du = u[1] - u[0]
     lhs = float(np.trapezoid(np.concatenate(([0.0], g)), dx=du))
     lhs_se = float(np.trapezoid(np.concatenate(([0.0], gse)), dx=du))
 
@@ -408,4 +382,4 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
 
     return CheckReport(lhs=lhs, rhs=rhs, std_err=math.hypot(lhs_se, rhs_se),
                        n=n, censored=int(ic.sum() + ic2.sum())
-                       + lhs_censored)
+                       + curve.censored)

@@ -427,7 +427,9 @@ def cramer_root(model: LevyModel) -> CramerReport:
         domain_sup=sup, theta=theta, psi_prime_at_theta=psi_prime,
         alpha_theta=model.alpha * theta,
         jump_in_range=(0.0, min(1.0 / model.alpha, theta)),
-        continuous_extension_exists=model.alpha * theta < 1.0,
+        # the bisection's width bounds theta's error, so a bracket that
+        # reaches alpha*theta = 1 is the boundary, not an extension
+        continuous_extension_exists=model.alpha * (theta + ROOT_TOL) < 1.0,
         condition4_finite=math.isfinite(psi_prime))
 
 
@@ -495,14 +497,23 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _number(doc: dict, key: str, path: str) -> float:
+def _number(doc: dict, key: str, path: str, finite: bool = True) -> float:
     v = _require(doc, key, path)
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ModelFileError(f"{path}.{key}: expected a number, got {v!r}")
-    if not math.isfinite(v):
+    if finite and not math.isfinite(v):
         raise ModelFileError(
             f"{path}.{key}: expected a finite number, got {v!r}")
     return float(v)
+
+
+def _interval(doc: dict, path: str):
+    """The fields a < b of a test-function spec, both finite."""
+    a, b = (_number(doc, key, path, finite=False) for key in ("a", "b"))
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"{path}: {doc['kind']} needs finite a < b, got "
+                         f"a={a}, b={b}")
+    return a, b
 
 
 def _sign(doc: dict, key: str, path: str) -> int:

@@ -20,7 +20,7 @@ from . import catalog
 from .errors import BetaOutOfRange, GridTooCoarse, TooFewSamples
 from .expfun import sample_I_batch
 from .lamperti import _check_positive, pssmp_marginal
-from .models import LevyModel, cramer_root, esscher
+from .models import LevyModel, _interval, cramer_root, esscher
 from .paths import SimConfig, sample_increment_batch
 
 __all__ = ["KsReport", "RenewalProblem", "ks_two_sample", "scaling_test",
@@ -63,8 +63,8 @@ def scaling_test(model: LevyModel, x: float, c: float, t: float, n: int,
     ``alpha_override`` rescales time with a wrong index on the first sample
     only -- the harness-sensitivity knob.
     """
-    if x <= 0 or c <= 0:
-        raise ValueError("x and c must be > 0")
+    for name, v in (("x", x), ("c", c), ("t", t)):
+        _check_positive(name, v)
     alpha_used = model.alpha if alpha_override is None else alpha_override
     a = c * pssmp_marginal(model, x, t * c ** (-1.0 / alpha_used), n, config)
     b = pssmp_marginal(model, c * x, float(t), n, config.substream(1))
@@ -175,10 +175,7 @@ def renewal_limit(problem: RenewalProblem, g: Union[Callable, dict]) -> dict:
     elif not isinstance(g, dict):
         raise ValueError(f"g: expected an object or a callable, got {g!r}")
     elif g.get("kind") == "indicator":
-        a, b = float(g["a"]), float(g["b"])
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValueError(f"g: indicator needs finite a < b, got a={a}, "
-                             f"b={b}")
+        a, b = _interval(g, "g")
         g_fn = lambda y: ((np.asarray(y) >= a) & (np.asarray(y) < b)).astype(float)
         total_g = b - a
     else:
@@ -208,13 +205,18 @@ def hill_estimate(samples: np.ndarray, k: Optional[int] = None) -> float:
     x = x[x > 0]
     if k is None:
         k = max(10, int(math.sqrt(x.size)))
+    if k < 1:
+        raise ValueError(f"a Hill estimate needs k >= 1, got k={k}")
     if x.size < k + 1:
         raise TooFewSamples(f"a Hill estimate from the top k={k} order "
                             f"statistics needs at least {k + 1} positive "
                             f"samples, got {x.size}")
     top = x[-k - 1:]
-    logs = np.log(top[1:]) - math.log(top[0])
-    return 1.0 / float(logs.mean())
+    mean_log = float((np.log(top[1:]) - math.log(top[0])).mean())
+    if mean_log == 0:
+        raise TooFewSamples(f"the top k + 1 = {k + 1} order statistics are "
+                            f"tied at {float(top[0])!r}: no Hill estimate")
+    return 1.0 / mean_log
 
 
 def counterexample_demo(q: float, beta: float, delta: float, n: int,

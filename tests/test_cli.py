@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -158,20 +160,16 @@ def test_verify_custom_suite(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["passed"] == 4 and doc["failed"] == 0
-    # the normalization op and the resolvent op with its default lambda and
-    # f run and report their fields; their verdicts are not read here
+    # the resolvent op with its default lambda and f runs and reports its
+    # fields; its verdict is not read here
     report = cli.run_suite({"checks": [
-        {"op": "normalization", "model": "brownian", "n": 500},
         {"op": "resolvent", "model": "brownian", "n": 500},
     ]}, seed=0)
-    norm, res = report["checks"]
-    assert "error" not in norm and "error" not in res
-    assert set(norm) == {"op", "value", "se", "grid_change", "n", "censored",
-                         "pass"}
-    assert isinstance(norm["censored"], int)
+    (res,) = report["checks"]
+    assert "error" not in res
     assert set(res) == {"op", "lhs", "rhs", "se", "z", "n", "censored",
                         "pass"}
-    assert all(math.isfinite(norm[k]) for k in ("value", "se", "grid_change"))
+    assert isinstance(res["censored"], int)
     assert all(math.isfinite(res[k]) for k in ("lhs", "rhs", "se", "z"))
 
 
@@ -226,8 +224,22 @@ def test_suite_check_field_errors_are_recorded():
         {"op": "resolvent", "model": "brownian", "f": 3, "n": 200},
         {"op": "renewal", "g": {"kind": "indicator", "a": 1.0, "b": 0.0}},
         {"op": "renewal", "g": {"kind": "indicator", "a": 300, "b": 400}},
+        {"op": "resolvent", "model": "brownian", "f": {"kind": "power"},
+         "n": 200},
+        {"op": "renewal", "g": {"kind": "indicator", "a": 0}},
+        {"op": "renewal", "g": {"kind": "indicator", "a": 0, "b": "x"}},
+        {"op": "resolvent", "model": "brownian",
+         "f": {"kind": "power", "p": math.nan}, "n": 200},
+        {"op": "resolvent", "model": "brownian",
+         "f": {"kind": "indicator", "a": 2.0, "b": 1.0}, "n": 200},
+        {"op": "resolvent", "model": "brownian",
+         "f": {"kind": "bump", "a": 1.0, "b": 1.0}, "n": 200},
+        # at t = 0 both samples are the point x: any alpha would pass
+        {"op": "scaling", "model": "brownian", "t": 0, "alpha_override": 5.0,
+         "n": 100, "seeds": 3},
     ]}, seed=0)
-    bad_n, bad_dt, ok, bad_f, empty_g, far_g = report["checks"]
+    (bad_n, bad_dt, ok, bad_f, empty_g, far_g, no_p, no_b, text_b, nan_p,
+     empty_f, flat_bump, t_zero) = report["checks"]
     assert bad_n["error"].startswith("ValueError: invalid literal for int()")
     assert bad_dt["error"] == "ValueError: dt must be > 0"
     assert bad_f["error"] == "ValueError: test function f: expected an " \
@@ -236,8 +248,37 @@ def test_suite_check_field_errors_are_recorded():
         "got a=1.0, b=0.0"
     assert far_g["error"] == "ValueError: g sums to zero over the lattice " \
         "of [0, t_max=200] at dx=0.025"
-    assert not any(c["pass"] for c in (bad_n, bad_dt, bad_f, empty_g, far_g))
+    assert no_p["error"] == "ModelFileError: f.p: missing required field"
+    assert no_b["error"] == "ModelFileError: g.b: missing required field"
+    assert text_b["error"] == \
+        "ModelFileError: g.b: expected a number, got 'x'"
+    assert nan_p["error"] == \
+        "ModelFileError: f.p: expected a finite number, got nan"
+    assert empty_f["error"] == "ValueError: f: indicator needs finite " \
+        "a < b, got a=2.0, b=1.0"
+    assert flat_bump["error"] == "ValueError: f: bump needs finite a < b, " \
+        "got a=1.0, b=1.0"
+    assert t_zero["error"] == "ValueError: t must be finite and > 0, got 0.0"
+    assert not any(c["pass"] for c in report["checks"] if c is not ok)
     assert "error" not in ok and ok["pass"]
+
+
+def test_readme_suite_op_list_is_the_cli_op_list():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Verification suites", 1)[1]
+    listed = section.split("Each check has an `op`", 1)[1].split(")", 1)[0]
+    ops = re.findall(r"`(\w+)`", listed)
+    assert ops
+    knobs = {"model": "brownian", "n": 64, "beta": 0.25, "seeds": 1,
+             "dx": 0.1, "t_max": 50.0}
+    report = cli.run_suite({"checks": [dict(knobs, op=op) for op in ops]},
+                           seed=0)
+    for op, rec in zip(ops, report["checks"]):
+        assert "error" not in rec, (op, rec["error"])
+    gone = cli.run_suite({"checks": [dict(knobs, op="normalization")]},
+                         seed=0)
+    assert gone["checks"][0]["error"] == \
+        "ValueError: unknown op 'normalization'"
 
 
 def test_suite_model_name_must_be_a_catalog_model():

@@ -15,7 +15,6 @@ from pssmplab.extensions import (
     ExtensionConfig,
     entrance_law_curve,
     entrance_mass_check,
-    excursion_normalization_check,
     extension_gamma,
     make_test_function,
     occupation_histogram,
@@ -24,7 +23,7 @@ from pssmplab.extensions import (
     simulate_extension,
 )
 from pssmplab.lamperti import PssmpPath
-from pssmplab.models import CRITICAL_TOL, LevyModel
+from pssmplab.models import CRITICAL_TOL, LevyModel, cramer_root
 from pssmplab.paths import SimConfig, stream_rng
 
 CFG = SimConfig(dt=0.01, horizon=400.0, seed=0)
@@ -205,8 +204,7 @@ def test_entrance_law_checks_solve_the_cramer_root_once(monkeypatch):
             monkeypatch.setattr(mod, "cramer_root", counted)
     m = catalog.brownian()
     bump = {"kind": "bump", "a": 0.5, "b": 1.5}
-    for run in (lambda: excursion_normalization_check(m, 200, CFG),
-                lambda: resolvent_crosscheck(m, 1.0, bump, 200, CFG),
+    for run in (lambda: resolvent_crosscheck(m, 1.0, bump, 200, CFG),
                 lambda: entrance_mass_check(m, 1.0, 200, CFG),
                 lambda: cli.run_suite({"checks": [
                     {"op": "entrance_law", "model": "brownian", "n": 200}]},
@@ -218,17 +216,17 @@ def test_entrance_law_checks_solve_the_cramer_root_once(monkeypatch):
 
 
 def test_entrance_law_power_theta_is_t_constant():
-    curve = entrance_law_curve(catalog.brownian(), np.array([0.5, 1.0, 2.0]),
-                               {"kind": "power", "p": 0.5}, 20000, CFG)
-    v, s = curve.values, curve.std_errs
-    for i in range(1, 3):
-        assert abs(v[i] - v[0]) < 5.0 * float(np.hypot(s[i], s[0]))
-
-
-def test_excursion_normalization():
-    rep = excursion_normalization_check(catalog.brownian(), 20000, CFG)
-    assert abs(rep["value"] - 1.0) < 0.1
-    assert rep["grid_change"] < 0.02
+    # with f = x^theta every draw's term is t^{alpha theta}/J over the
+    # normalizer's t^{alpha theta}, so the curve is constant in t draw by
+    # draw, up to rounding; at alpha = 0.5 a t^theta in place of
+    # t^{alpha theta} would spread it by a factor 4^{1/4}
+    for model in (catalog.brownian(),
+                  LevyModel(drift=0.0, gaussian=1.0, killing=0.125,
+                            alpha=0.5)):
+        theta = cramer_root(model).theta
+        v = entrance_law_curve(model, np.array([0.5, 1.0, 2.0]),
+                               {"kind": "power", "p": theta}, 64, CFG).values
+        assert (v.max() - v.min()) / abs(v.mean()) < 1e-9
 
 
 def test_resolvent_crosscheck_small():
@@ -250,15 +248,25 @@ def test_resolvent_crosscheck_conservative_drifting_brownian():
     assert rep.z_score < 5.0
 
 
-def test_time_quadrature_nodes_that_underflow_to_zero_are_an_error():
-    # alpha*theta is 1 up to the bisected root's rounding, so the u-grid's
-    # t = u^{1/(1-at)} underflows to 0: an error, not a NaN result
+def test_time_quadrature_nodes_that_underflow_to_zero_are_an_error(
+        monkeypatch):
+    # theta = 1 exactly, so alpha*theta = 1 and there is no continuous
+    # extension; the bisected root is 1 - 1.1e-13, within ROOT_TOL of the
+    # boundary, and both checks refuse it before anything is sampled (the
+    # u-grid's t = u^{1/(1-at)} would underflow to 0)
     model = LevyModel(drift=-0.5, gaussian=1.0, killing=0.0, alpha=1.0)
+    assert not cramer_root(model).continuous_extension_exists
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the existence check")
+
+    monkeypatch.setattr(extensions, "sample_J_batch", no_sampling)
+    monkeypatch.setattr(extensions, "sample_I_batch", no_sampling)
     bump = {"kind": "bump", "a": 0.5, "b": 1.5}
-    with pytest.raises(ValueError, match="t must be finite and > 0"):
-        excursion_normalization_check(model, 200, CFG)
-    with pytest.raises(ValueError, match="t must be finite and > 0"):
+    with pytest.raises(NoCramerRoot):
         resolvent_crosscheck(model, 1.0, bump, 200, CFG)
+    with pytest.raises(NoCramerRoot):
+        entrance_mass_check(model, 1.0, 200, CFG)
 
 
 @pytest.mark.parametrize("spec", [{"kind": "one"}, {"kind": "power", "p": 1}])

@@ -50,8 +50,13 @@ def test_scaling_test_brownian():
     bad = scaling_test(catalog.brownian(), 1.0, 2.0, 0.5, 2000, CFG,
                        alpha_override=2.5)
     assert bad.p_value < 0.01
-    with pytest.raises(ValueError):
-        scaling_test(catalog.brownian(), -1.0, 2.0, 0.5, 100, CFG)
+    # each argument is named; at t = 0 any alpha would pass
+    for x, c, t, msg in ((-1.0, 2.0, 0.5, "x must be .*, got -1"),
+                         (1.0, math.inf, 0.5, "c must be .*, got inf"),
+                         (1.0, 2.0, -1.0, "t must be .*, got -1"),
+                         (1.0, 2.0, 0.0, "t must be .*, got 0")):
+        with pytest.raises(ValueError, match=msg):
+            scaling_test(catalog.brownian(), x, c, t, 100, CFG)
 
 
 def test_renewal_problem_validation():
@@ -138,6 +143,18 @@ def test_hill_estimate_pareto():
 def test_hill_estimate_needs_k_plus_one_positive_samples(x):
     with pytest.raises(TooFewSamples, match="needs at least 11 positive"):
         hill_estimate(np.array(x))
+
+
+def test_hill_estimate_rejects_a_tie_at_the_top_and_k_below_one():
+    with pytest.raises(TooFewSamples, match="order statistics are tied at "
+                                            "1.0"):
+        hill_estimate(np.ones(20))
+    with pytest.raises(TooFewSamples, match="tied at 5.0"):
+        hill_estimate(np.array([1.0, 2.0, 3.0] + [5.0] * 11), k=10)
+    x = np.random.default_rng(1).pareto(2.0, size=100) + 1.0
+    for k in (0, -3):
+        with pytest.raises(ValueError, match=f"needs k >= 1, got k={k}"):
+            hill_estimate(x, k=k)
 
 
 def test_counterexample_demo():
