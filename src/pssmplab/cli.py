@@ -12,6 +12,7 @@ import datetime
 import hashlib
 import json
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import List, Optional
@@ -144,6 +145,7 @@ def _run_check(check: dict, seed: int, stream_base: int) -> dict:
     except Exception as exc:  # record, never abort the suite
         out["pass"] = False
         out["error"] = f"{type(exc).__name__}: {exc}"
+        out["traceback"] = traceback.format_exc()
     return out
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import BetaOutOfRange, ConfigRejected, NoCramerRoot
 from .expfun import (
@@ -278,6 +277,7 @@ def _entrance_curve(model: LevyModel, tilt, t_grid: np.ndarray, f, n: int,
 
     den = moment(tilted, at - 1.0, n, config.substream(1), functional="J")
 
+    from scipy import special
     gam = special.gamma(1.0 - at)
     values = np.empty(t_grid.size)
     ses = np.empty(t_grid.size)
@@ -308,6 +308,7 @@ def entrance_mass_check(model: LevyModel, t: float, n: int,
     curve = entrance_law_curve(model, np.array([t]), {"kind": "one"}, n,
                                config)
     at = curve.alpha_theta
+    from scipy import special
     return CheckReport(lhs=float(curve.values[0]),
                        rhs=t ** (-at) / float(special.gamma(1.0 - at)),
                        std_err=float(curve.std_errs[0]), n=n,
@@ -375,6 +376,7 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     shape = func(x) * x ** (1.0 / alpha - 1.0 - theta)
     integral = float(np.sum(wq * shape * laplace))
     integral_se = float(np.sum(wq * shape * laplace_se))
+    from scipy import special
     norm = alpha * float(special.gamma(1.0 - at)) * den
     rhs = integral / norm
     rhs_se = abs(rhs) * math.hypot(

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     BetaOutOfRange,
@@ -207,6 +206,7 @@ class TemperedPower:
             raise ValueError("truncation delta must be > 0")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        from scipy import integrate
         val, _ = integrate.quad(
             lambda x: math.exp(-self.q * x) * x ** (-1.0 - self.beta),
             self.delta, math.inf, epsabs=_QUAD_TOL, epsrel=1e-12, limit=200)
@@ -225,6 +225,7 @@ class TemperedPower:
         if s > self.q:
             return math.inf
         q, beta, delta = self.q, self.beta, self.delta
+        from scipy import integrate
         # (e^{sx} - 1) e^{-qx} written as a difference of bounded exponentials
         val, _ = integrate.quad(
             lambda x: (math.exp((s - q) * x) - math.exp(-q * x)) * x ** (-1.0 - beta),
@@ -236,6 +237,7 @@ class TemperedPower:
         if s >= self.q:
             return math.inf if self.sign > 0 else -math.inf
         q, beta, delta = self.q, self.beta, self.delta
+        from scipy import integrate
         val, _ = integrate.quad(
             lambda x: math.exp((s - q) * x) * x ** (-beta),
             delta, math.inf, epsabs=_QUAD_TOL, epsrel=1e-12, limit=200)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import integrate, stats
 
 from . import catalog
 from .errors import BetaOutOfRange, GridTooCoarse, TooFewSamples
@@ -48,6 +47,7 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> KsReport:
     b = np.asarray(b, dtype=float)
     if a.size < 20 or b.size < 20:
         raise TooFewSamples("KS test needs at least 20 samples per side")
+    from scipy import stats
     res = stats.ks_2samp(a, b, method="asymp")
     return KsReport(statistic=float(res.statistic),
                     p_value=float(res.pvalue), n1=a.size, n2=b.size)
@@ -65,6 +65,8 @@ def scaling_test(model: LevyModel, x: float, c: float, t: float, n: int,
     """
     for name, v in (("x", x), ("c", c), ("t", t)):
         _check_positive(name, v)
+    if alpha_override is not None:
+        _check_positive("alpha_override", alpha_override)
     alpha_used = model.alpha if alpha_override is None else alpha_override
     a = c * pssmp_marginal(model, x, t * c ** (-1.0 / alpha_used), n, config)
     b = pssmp_marginal(model, c * x, float(t), n, config.substream(1))
@@ -171,6 +173,7 @@ def renewal_limit(problem: RenewalProblem, g: Union[Callable, dict]) -> dict:
     if callable(g):
         g_fn = g
         lo, hi = -problem.t_max, problem.t_max
+        from scipy import integrate
         total_g, _ = integrate.quad(g_fn, lo, hi, limit=400)
     elif not isinstance(g, dict):
         raise ValueError(f"g: expected an object or a callable, got {g!r}")

@@ -213,6 +213,11 @@ def test_verify_records_errors_and_exits_nonzero(tmp_path):
         "ValueError: lambda must be finite and > 0, got -1.0"
     assert doc["checks"][4]["error"] == \
         "ValueError: t must be finite and > 0, got -1.0"
+    # the traceback says where the error was raised
+    tb = doc["checks"][4]["traceback"]
+    assert tb.startswith("Traceback (most recent call last):")
+    assert "_check_positive" in tb
+    assert tb.rstrip().endswith(doc["checks"][4]["error"])
 
 
 def test_suite_check_field_errors_are_recorded():
@@ -237,9 +242,11 @@ def test_suite_check_field_errors_are_recorded():
         # at t = 0 both samples are the point x: any alpha would pass
         {"op": "scaling", "model": "brownian", "t": 0, "alpha_override": 5.0,
          "n": 100, "seeds": 3},
-    ]}, seed=0)
+    ] + [{"op": "scaling", "model": "brownian", "alpha_override": a,
+          "n": 100, "seeds": 3} for a in (0, -2.0, math.nan, math.inf)]},
+        seed=0)
     (bad_n, bad_dt, ok, bad_f, empty_g, far_g, no_p, no_b, text_b, nan_p,
-     empty_f, flat_bump, t_zero) = report["checks"]
+     empty_f, flat_bump, t_zero, *bad_alpha) = report["checks"]
     assert bad_n["error"].startswith("ValueError: invalid literal for int()")
     assert bad_dt["error"] == "ValueError: dt must be > 0"
     assert bad_f["error"] == "ValueError: test function f: expected an " \
@@ -259,6 +266,9 @@ def test_suite_check_field_errors_are_recorded():
     assert flat_bump["error"] == "ValueError: f: bump needs finite a < b, " \
         "got a=1.0, b=1.0"
     assert t_zero["error"] == "ValueError: t must be finite and > 0, got 0.0"
+    assert [c["error"] for c in bad_alpha] == [
+        f"ValueError: alpha_override must be finite and > 0, got {a!r}"
+        for a in (0, -2.0, math.nan, math.inf)]
     assert not any(c["pass"] for c in report["checks"] if c is not ok)
     assert "error" not in ok and ok["pass"]
 

@@ -1,5 +1,8 @@
 """Every name a pssmplab module imports is used in that module, and every
-name in its ``__all__`` is bound in it.
+name in its ``__all__`` is bound in it.  ``import pssmplab`` and the runs
+that need no scipy function load no scipy module; a function that needs
+scipy imports it at first use, with the same result as in a process that
+has it loaded already.
 
 Package ``__init__.py`` files only re-export, so they are exempt from the
 first check, as are ``__future__`` imports.
@@ -7,11 +10,16 @@ first check, as are ``__future__`` imports.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pssmplab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pssmplab"
 ALL_MODULES = sorted(SRC.rglob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
@@ -55,3 +63,111 @@ def test_module_all_names_are_bound(path):
     module = importlib.import_module(_module_name(path))
     assert [n for n in getattr(module, "__all__", ())
             if not hasattr(module, n)] == []
+
+
+# -- scipy is imported where it is first used ----------------------------------
+
+_REPORT = """
+import json, sys
+print(json.dumps({"value": value,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _fresh(code: str, *args: str, cwd=None) -> dict:
+    """Run ``code``, which binds ``value``, in a new interpreter that
+    imports pssmplab from this checkout; its value and loaded scipy
+    modules."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                             else []))
+    proc = subprocess.run([sys.executable, "-c", code + _REPORT, *args],
+                          env=env, cwd=cwd, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_NO_SCIPY = {
+    "import": "import pssmplab\nvalue = None",
+    "negative_moment": (
+        "from pssmplab import catalog, expfun\n"
+        "from pssmplab.paths import SimConfig\n"
+        "value = expfun.negative_moment_check(catalog.brownian(), 64, "
+        "SimConfig(seed=0)).to_json()"),
+    "cli_analyze_simulate": (
+        "import json, sys\n"
+        "from pssmplab import catalog, cli\n"
+        "from pssmplab.models import model_to_dict\n"
+        "with open('two_sided.json', 'w') as fh:\n"
+        "    json.dump(model_to_dict(catalog.two_sided()), fh)\n"
+        "value = [cli.main(['analyze', '--model', 'two_sided.json', "
+        "'--out', 'analyze.json']),\n"
+        "         cli.main(['simulate', '--model', 'two_sided.json', "
+        "'--kind', 'pssmp', '--samples', '2', '--out', 'paths.jsonl'])]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NO_SCIPY))
+def test_runs_that_need_no_scipy_load_none(case, tmp_path):
+    res = _fresh(_NO_SCIPY[case], cwd=tmp_path)
+    assert res["scipy"] == []
+    if case == "cli_analyze_simulate":
+        assert res["value"] == [0, 0]
+
+
+# each binds ``value`` from the first call of a function that imports scipy
+_FIRST_USE = {
+    "tempered_power": (
+        "from pssmplab.models import TemperedPower\n"
+        "j = TemperedPower(1.0, 0.75, 0.01)\n"
+        "value = [j.total_intensity, j.exponent(0.5), "
+        "j.exponent_derivative(0.5)]"),
+    "ks_two_sample": (
+        "import numpy as np\n"
+        "from pssmplab.verify import ks_two_sample\n"
+        "value = ks_two_sample(np.linspace(0.0, 1.0, 30), "
+        "np.linspace(0.2, 1.3, 25)).to_json()"),
+    "renewal_callable_g": (
+        "import numpy as np\n"
+        "from pssmplab.verify import RenewalProblem, renewal_limit\n"
+        "p = RenewalProblem(tail={'kind': 'pareto', 'gamma': 0.75}, "
+        "gamma=0.75, dx=0.05, t_max=50.0)\n"
+        "value = renewal_limit(p, lambda y: np.exp(-np.abs("
+        "np.asarray(y, dtype=float))))"),
+    "entrance_mass": (
+        "from pssmplab import catalog\n"
+        "from pssmplab.extensions import entrance_mass_check\n"
+        "from pssmplab.paths import SimConfig\n"
+        "value = entrance_mass_check(catalog.brownian(), 1.0, 64, "
+        "SimConfig(seed=0)).to_json()"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIRST_USE))
+def test_first_use_of_scipy_gives_the_same_value(case):
+    ns = {}
+    exec(_FIRST_USE[case], ns)
+    res = _fresh(_FIRST_USE[case])
+    assert res["scipy"], "the case should load scipy at first use"
+    assert res["value"] == json.loads(json.dumps(ns["value"]))
+
+
+def test_concurrent_first_use_in_suite_is_reproducible():
+    # two pool threads import scipy.stats and scipy.special at once; the
+    # report must equal the one-thread report byte for byte
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from workloads import SIZES, _suite\n"
+        "from pssmplab import cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "suite = _suite(SIZES['smoke']['suite_scale'])\n"
+        "value = [json.dumps(cli.run_suite(suite, 0, threads=t), indent=2)\n"
+        "         for t in (2, 1)]")
+    res = _fresh(code, str(ROOT / "perfbench"))
+    two, one = res["value"]
+    assert two == one
+    assert "scipy.stats" in res["scipy"] and "scipy.special" in res["scipy"]
