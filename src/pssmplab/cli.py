@@ -79,21 +79,31 @@ def _suite_model(check: dict) -> LevyModel:
     raise ModelFileError("check needs 'model' or 'model_file'")
 
 
+def _field(check: dict, key: str, default=None, finite=True, integer=False):
+    """Numeric field of a suite check, ``default`` when it is absent
+    (required when there is none); an error names the field."""
+    if key not in check and default is not None:
+        return default
+    v = models._number(check, key, "", finite)
+    if integer and not v.is_integer():
+        raise ModelFileError(f"{key}: expected an integer, got {check[key]!r}")
+    return int(v) if integer else v
+
+
 # ops read as one CheckReport z-score against z_max: op -> (model, check
 # spec, n, config) -> CheckReport.  The lambdas look each check up when
 # called, so a wrapped module attribute is seen.
 _Z_CHECKS = {
     "recursion": lambda model, check, n, cfg: recursion_check(
-        model, float(check["beta"]), n, cfg),
+        model, _field(check, "beta"), n, cfg),
     "dual_identity": lambda model, check, n, cfg: dual_identity_check(
         model, n, cfg),
     "negative_moment": lambda model, check, n, cfg: negative_moment_check(
         model, n, cfg),
     "entrance_law": lambda model, check, n, cfg:
-        extensions.entrance_mass_check(model, float(check.get("t", 1.0)), n,
-                                       cfg),
+        extensions.entrance_mass_check(model, _field(check, "t", 1.0), n, cfg),
     "resolvent": lambda model, check, n, cfg: extensions.resolvent_crosscheck(
-        model, float(check.get("lambda", 1.0)),
+        model, _field(check, "lambda", 1.0),
         check.get("f", {"kind": "bump", "a": 0.5, "b": 1.5}), n, cfg),
 }
 
@@ -102,10 +112,11 @@ def _run_check(check: dict, seed: int, stream_base: int) -> dict:
     op = check.get("op")
     out = {"op": op}
     try:
-        n = int(check.get("n", 20000))
-        z_max = float(check.get("z_max", 4.0))
-        cfg = SimConfig(dt=float(check.get("dt", SimConfig.dt)),
-                        horizon=float(check.get("horizon", SimConfig.horizon)),
+        n = _field(check, "n", 20000, integer=True)
+        z_max = _field(check, "z_max", 4.0)
+        cfg = SimConfig(dt=_field(check, "dt", SimConfig.dt),
+                        horizon=_field(check, "horizon", SimConfig.horizon,
+                                       finite=False),
                         seed=seed, stream_id=stream_base)
         if op in _Z_CHECKS:
             rep = _Z_CHECKS[op](_suite_model(check), check, n, cfg)
@@ -113,12 +124,15 @@ def _run_check(check: dict, seed: int, stream_base: int) -> dict:
             out["pass"] = bool(rep.z_score < z_max)
         elif op == "scaling":
             model = _suite_model(check)
-            seeds = int(check.get("seeds", 20))
-            rate = float(check.get("min_rate", 0.9))
-            x = float(check.get("x", 1.0))
-            c = float(check.get("c", 2.0))
-            t = float(check.get("t", 0.5))
+            seeds = _field(check, "seeds", 20, integer=True)
+            rate = _field(check, "min_rate", 0.9)
+            x = _field(check, "x", 1.0)
+            c = _field(check, "c", 2.0)
+            t = _field(check, "t", 0.5)
             alpha_override = check.get("alpha_override")
+            if alpha_override is not None:
+                # a number; scaling_test rejects a non-finite one by name
+                _field(check, "alpha_override", finite=False)
 
             def one(s):
                 c2 = replace(cfg, seed=seed + 7919 * (s + 1))
@@ -129,14 +143,14 @@ def _run_check(check: dict, seed: int, stream_base: int) -> dict:
             out.update(rep)
             out["pass"] = rep["rate"] >= rate
         elif op == "renewal":
-            gam = float(check.get("gamma", 0.75))
+            gam = _field(check, "gamma", 0.75)
             problem = verify.RenewalProblem(
                 tail={"kind": "pareto", "gamma": gam}, gamma=gam,
-                dx=float(check.get("dx", 0.05)),
-                t_max=float(check.get("t_max", 200.0)))
+                dx=_field(check, "dx", 0.05),
+                t_max=_field(check, "t_max", 200.0))
             g = check.get("g", {"kind": "indicator", "a": 0.0, "b": 1.0})
             res = verify.renewal_limit(problem, g)
-            tol = float(check.get("rel_tol", 0.15))
+            tol = _field(check, "rel_tol", 0.15)
             out.update(res)
             out["pass"] = abs(res["value"] - res["target"]) \
                 <= tol * abs(res["target"])

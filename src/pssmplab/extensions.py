@@ -261,13 +261,14 @@ class EntranceCurve:
     alpha_theta: float
 
 
-def _entrance_curve(model: LevyModel, tilt, t_grid: np.ndarray, f, n: int,
-                    config: SimConfig) -> EntranceCurve:
-    """entrance_law_curve under the tilt ``_tilted_setup(model)``."""
+def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
+                       config: SimConfig) -> EntranceCurve:
+    """Entrance-law functional over a whole t-grid from one shared J batch;
+    the normalizer is estimated on an independent stream."""
+    _, at, tilted = _tilted_setup(model)
     t_grid = np.asarray(t_grid, dtype=float)
     for t in t_grid.tolist():
         _check_positive("t", t)
-    _, at, tilted = tilt
     func = make_test_function(f)
     alpha = model.alpha
 
@@ -294,13 +295,6 @@ def _entrance_curve(model: LevyModel, tilt, t_grid: np.ndarray, f, n: int,
                          alpha_theta=at)
 
 
-def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
-                       config: SimConfig) -> EntranceCurve:
-    """Entrance-law functional over a whole t-grid from one shared J batch;
-    the normalizer is estimated on an independent stream."""
-    return _entrance_curve(model, _tilted_setup(model), t_grid, f, n, config)
-
-
 def entrance_mass_check(model: LevyModel, t: float, n: int,
                         config: SimConfig) -> CheckReport:
     """Monte Carlo entrance mass n(t < T_0), the entrance law at f = 1,
@@ -317,7 +311,9 @@ def entrance_mass_check(model: LevyModel, t: float, n: int,
 
 def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
                          config: SimConfig) -> CheckReport:
-    """Resolvent of the excursion measure by two independent pipelines.
+    """Resolvent of the excursion measure by two independent pipelines,
+    each a mean of per-draw quadrature values over a mean of its normalizer
+    on an independent stream, with the delta-method SE.
 
     lhs: time-quadrature of the entrance law, n(int_0^{T0} e^{-lam t} f(X_t) dt).
     rhs: space-quadrature of f(x) x^{1/alpha - 1 - theta} E_dual(e^{-lam
@@ -325,8 +321,7 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     sampled under the dual of the tilted model.
     """
     _check_positive("lambda", lam)
-    tilt = _tilted_setup(model)
-    theta, at, tilted = tilt
+    theta, at, tilted = _tilted_setup(model)
     alpha = model.alpha
     func = make_test_function(f)
 
@@ -344,44 +339,43 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
                          "needs an f with compact support inside it")
     a, b = probe[on][0] * 0.999, probe[on][-1] * 1.001
 
-    # --- lhs: t-quadrature of the entrance law, in u = t^{1-at} with
-    # dt = t^{at}/(1-at) du, which keeps the integrand bounded at 0
+    from scipy import special
+    gam = float(special.gamma(1.0 - at))
+
+    def ratio(values, den, den_se):
+        # den comes from another stream, so the two errors add in quadrature
+        m, se = mean_se(values)
+        return m / den, math.hypot(se, m / den * den_se) / den
+
+    # --- lhs: per J draw, the t-quadrature of e^{-lam t} times the entrance
+    # law, in u = t^{1-at}: dt = t^{at}/(1-at) du cancels the law's t^{-at}.
+    # The trapezoid from 0 at u = 0 weighs the last node du/2, the others du.
     p = 1.0 - at
     u = np.linspace(0.0, (_E_FOLDS / lam) ** p, _RESOLVENT_T_NODES + 1)[1:]
     t = u ** (1.0 / p)
-    curve = _entrance_curve(model, tilt, t, func, n, config)
-    decay, jac = np.exp(-lam * t), t ** at
-    g = decay * curve.values * jac / p
-    gse = decay * curve.std_errs * jac / p
-    du = u[1] - u[0]
-    lhs = float(np.trapezoid(np.concatenate(([0.0], g)), dx=du))
-    lhs_se = float(np.trapezoid(np.concatenate(([0.0], gse)), dx=du))
+    _check_positive("t", float(t[0]))  # the smallest node
+    c = (u[1] - u[0]) * np.exp(-lam * t) / (p * gam)
+    c[-1] *= 0.5
+    jv, jc = sample_J_batch(tilted, n, config)
+    jv = jv[~jc]
+    q = sum(ci * func(ti ** alpha / jv ** alpha) for ci, ti in zip(c, t))
+    den = moment(tilted, at - 1.0, n, config.substream(1), functional="J")
+    lhs, lhs_se = ratio(q * jv ** (at - 1.0), den.value, den.std_err)
 
-    # --- rhs: x-quadrature over the support of f
+    # --- rhs: per dual-I draw, the x-quadrature over the support of f of
+    # f(x) x^{1/alpha-1-theta} e^{-lam x^{1/alpha} I}/(alpha Gamma(1-at))
     hat = dual(tilted)
     iv, ic = sample_I_batch(hat, n, config.substream(2))
     iv = iv[~ic]
-    iv2, ic2 = sample_I_batch(hat, n, config.substream(3))
-    den, den_se = mean_se(iv2[~ic2] ** (at - 1.0))
-
     nodes, weights = np.polynomial.legendre.leggauss(_RESOLVENT_X_NODES)
     x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    wq = 0.5 * (b - a) * weights
-
-    laplace = np.empty(x.size)
-    laplace_se = np.empty(x.size)
-    for i, xi in enumerate(x):
-        laplace[i], laplace_se[i] = mean_se(
-            np.exp(-lam * xi ** (1.0 / alpha) * iv))
-    shape = func(x) * x ** (1.0 / alpha - 1.0 - theta)
-    integral = float(np.sum(wq * shape * laplace))
-    integral_se = float(np.sum(wq * shape * laplace_se))
-    from scipy import special
-    norm = alpha * float(special.gamma(1.0 - at)) * den
-    rhs = integral / norm
-    rhs_se = abs(rhs) * math.hypot(
-        integral_se / integral if integral != 0 else 0.0, den_se / den)
+    wx = 0.5 * (b - a) * weights * func(x) \
+        * x ** (1.0 / alpha - 1.0 - theta) / (alpha * gam)
+    r = sum(wi * np.exp(-lam * xi ** (1.0 / alpha) * iv)
+            for wi, xi in zip(wx, x))
+    iv2, ic2 = sample_I_batch(hat, n, config.substream(3))
+    rhs, rhs_se = ratio(r, *mean_se(iv2[~ic2] ** (at - 1.0)))
 
     return CheckReport(lhs=lhs, rhs=rhs, std_err=math.hypot(lhs_se, rhs_se),
-                       n=n, censored=int(ic.sum() + ic2.sum())
-                       + curve.censored)
+                       n=n, censored=int(jc.sum() + ic.sum() + ic2.sum())
+                       + den.censored)

@@ -493,19 +493,21 @@ def tempered_power_killing_for_root(q: float, beta: float, delta: float) -> floa
 # JSON model files
 
 
+# a field is named path.key, or key alone when the path is empty
 def _require(doc: dict, key: str, path: str):
     if key not in doc:
-        raise ModelFileError(f"{path}.{key}: missing required field")
+        raise ModelFileError(f"{path}.{key}: missing required field"
+                             .lstrip("."))
     return doc[key]
 
 
 def _number(doc: dict, key: str, path: str, finite: bool = True) -> float:
     v = _require(doc, key, path)
+    name = f"{path}.{key}".lstrip(".")
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ModelFileError(f"{path}.{key}: expected a number, got {v!r}")
+        raise ModelFileError(f"{name}: expected a number, got {v!r}")
     if finite and not math.isfinite(v):
-        raise ModelFileError(
-            f"{path}.{key}: expected a finite number, got {v!r}")
+        raise ModelFileError(f"{name}: expected a finite number, got {v!r}")
     return float(v)
 
 

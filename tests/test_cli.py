@@ -242,12 +242,30 @@ def test_suite_check_field_errors_are_recorded():
         # at t = 0 both samples are the point x: any alpha would pass
         {"op": "scaling", "model": "brownian", "t": 0, "alpha_override": 5.0,
          "n": 100, "seeds": 3},
+        # a check's own numeric fields are named by their path
+        {"op": "recursion", "model": "brownian", "beta": "q", "n": 16},
+        {"op": "scaling", "model": "brownian", "c": "abc", "n": 16},
+        {"op": "scaling", "model": "brownian", "alpha_override": "x",
+         "n": 16},
+        # an infinite z_max would pass every z check
+        {"op": "recursion", "model": "brownian", "beta": 0.25, "n": 16,
+         "z_max": math.inf},
+        {"op": "renewal", "n": 2.5},
     ] + [{"op": "scaling", "model": "brownian", "alpha_override": a,
           "n": 100, "seeds": 3} for a in (0, -2.0, math.nan, math.inf)]},
         seed=0)
     (bad_n, bad_dt, ok, bad_f, empty_g, far_g, no_p, no_b, text_b, nan_p,
-     empty_f, flat_bump, t_zero, *bad_alpha) = report["checks"]
-    assert bad_n["error"].startswith("ValueError: invalid literal for int()")
+     empty_f, flat_bump, t_zero, text_beta, text_c, text_alpha, inf_z_max,
+     half_n, *bad_alpha) = report["checks"]
+    assert bad_n["error"] == "ModelFileError: n: expected a number, got 'abc'"
+    assert text_beta["error"] == \
+        "ModelFileError: beta: expected a number, got 'q'"
+    assert text_c["error"] == "ModelFileError: c: expected a number, got 'abc'"
+    assert text_alpha["error"] == \
+        "ModelFileError: alpha_override: expected a number, got 'x'"
+    assert inf_z_max["error"] == \
+        "ModelFileError: z_max: expected a finite number, got inf"
+    assert half_n["error"] == "ModelFileError: n: expected an integer, got 2.5"
     assert bad_dt["error"] == "ValueError: dt must be > 0"
     assert bad_f["error"] == "ValueError: test function f: expected an " \
         "object or a callable, got 3"

@@ -237,6 +237,26 @@ def test_resolvent_crosscheck_small():
     assert rep.lhs > 0 and rep.rhs > 0
 
 
+def test_resolvent_lhs_is_the_entrance_law_time_quadrature():
+    # the per-draw lhs is the trapezoid, from 0 at u = 0, of the public
+    # entrance-law curve times e^{-lam t} t^{at}/(1 - at) over the u-nodes,
+    # on the same J batch and normalizer streams
+    lam, bump = 1.0, {"kind": "bump", "a": 0.5, "b": 1.5}
+    for model in (catalog.brownian(),
+                  LevyModel(drift=-0.5, gaussian=1.0, killing=0.125,
+                            alpha=0.5)):
+        at = cramer_root(model).alpha_theta
+        p = 1.0 - at
+        u = np.linspace(0.0, (extensions._E_FOLDS / lam) ** p,
+                        extensions._RESOLVENT_T_NODES + 1)
+        t = u[1:] ** (1.0 / p)
+        curve = entrance_law_curve(model, t, bump, 500, CFG)
+        g = curve.values * np.exp(-lam * t) * t ** at / p
+        expected = np.trapezoid(np.concatenate(([0.0], g)), u)
+        lhs = resolvent_crosscheck(model, lam, bump, 500, CFG).lhs
+        assert lhs == pytest.approx(expected, rel=1e-12)
+
+
 def test_resolvent_crosscheck_conservative_drifting_brownian():
     # killing 0: the dual normalizer's exponent sits on the boundary
     # psi_dual(theta) = -psi(theta) = 0, which the bisected root meets
