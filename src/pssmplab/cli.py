@@ -1,8 +1,9 @@
 """Command-line entry point: analyze model files, simulate paths, run
 verification suites, all with reproducible manifests.
 
-Exit codes: 0 success, 1 at least one suite check failed, 2 usage or parse
-error.
+Exit codes: 0 success, 1 at least one suite check failed (or a domain
+error), 2 usage or parse error, 3 a bug: an exception that is not a
+``LabError``, whose traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -308,6 +309,9 @@ def main(argv=None) -> int:
     except LabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except Exception:  # a bug, not a failed check
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -61,6 +61,20 @@ def test_analyze_bad_model_document(tmp_path):
     assert cli.main(["analyze", "--model", str(bad)]) == 2
 
 
+def test_a_bug_exits_3_with_its_traceback(brownian_file, monkeypatch,
+                                         capsys):
+    # not a failed check (1) nor a bad input (2)
+    def broken(model_file):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    assert cli.main(["analyze", "--model", brownian_file]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "in broken" in err
+    assert err.rstrip().endswith("TypeError: unsupported operand")
+
+
 def test_simulate_levy_writes_lines_and_manifest(brownian_file, tmp_path):
     out = tmp_path / "paths.jsonl"
     code = cli.main(["simulate", "--model", brownian_file, "--kind", "levy",
@@ -251,12 +265,14 @@ def test_suite_check_field_errors_are_recorded():
         {"op": "recursion", "model": "brownian", "beta": 0.25, "n": 16,
          "z_max": math.inf},
         {"op": "renewal", "n": 2.5},
+        # a lattice of step 0.3 ends at 50.1, not at t_max
+        {"op": "renewal", "dx": 0.3, "t_max": 50.0},
     ] + [{"op": "scaling", "model": "brownian", "alpha_override": a,
           "n": 100, "seeds": 3} for a in (0, -2.0, math.nan, math.inf)]},
         seed=0)
     (bad_n, bad_dt, ok, bad_f, empty_g, far_g, no_p, no_b, text_b, nan_p,
      empty_f, flat_bump, t_zero, text_beta, text_c, text_alpha, inf_z_max,
-     half_n, *bad_alpha) = report["checks"]
+     half_n, uneven_dx, *bad_alpha) = report["checks"]
     assert bad_n["error"] == "ModelFileError: n: expected a number, got 'abc'"
     assert text_beta["error"] == \
         "ModelFileError: beta: expected a number, got 'q'"
@@ -266,6 +282,8 @@ def test_suite_check_field_errors_are_recorded():
     assert inf_z_max["error"] == \
         "ModelFileError: z_max: expected a finite number, got inf"
     assert half_n["error"] == "ModelFileError: n: expected an integer, got 2.5"
+    assert uneven_dx["error"] == "ValueError: t_max must be a whole number " \
+        "of dx steps, got dx=0.3, t_max=50.0"
     assert bad_dt["error"] == "ValueError: dt must be > 0"
     assert bad_f["error"] == "ValueError: test function f: expected an " \
         "object or a callable, got 3"

@@ -107,6 +107,12 @@ _NO_SCIPY = {
         "'--out', 'analyze.json']),\n"
         "         cli.main(['simulate', '--model', 'two_sided.json', "
         "'--kind', 'pssmp', '--samples', '2', '--out', 'paths.jsonl'])]"),
+    "renewal_indicator": (
+        "from pssmplab.verify import RenewalProblem, renewal_limit\n"
+        "p = RenewalProblem(tail={'kind': 'pareto', 'gamma': 0.75}, "
+        "gamma=0.75, dx=0.05, t_max=200.0)\n"
+        "value = renewal_limit(p, {'kind': 'indicator', 'a': 0.0, "
+        "'b': 1.0})"),
 }
 
 

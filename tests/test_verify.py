@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from pssmplab import catalog
-from pssmplab.errors import BetaOutOfRange, GridTooCoarse, TooFewSamples
+from pssmplab.errors import (
+    BetaOutOfRange,
+    GridTooCoarse,
+    ModelFileError,
+    TooFewSamples,
+)
 from pssmplab.paths import SimConfig
 from pssmplab.verify import (
     KsReport,
     RenewalProblem,
+    _renewal_mass,
     counterexample_demo,
     hill_estimate,
     ks_two_sample,
@@ -73,10 +79,55 @@ def test_renewal_problem_validation():
         with pytest.raises(ValueError, match="t_max must be finite"):
             RenewalProblem(tail={"kind": "pareto", "gamma": 0.75},
                            gamma=0.75, dx=0.05, t_max=bad)
+    # a lattice that cannot end at t_max would read m(t) past it
+    for dx in (0.3, 0.07):
+        with pytest.raises(ValueError, match=rf"whole number of dx steps, "
+                                             rf"got dx={dx}, t_max=50\.0"):
+            RenewalProblem(tail={"kind": "pareto", "gamma": 0.75},
+                           gamma=0.75, dx=dx, t_max=50.0)
     p = RenewalProblem(tail={"kind": "weird"}, gamma=0.75, dx=0.05,
                        t_max=10.0)
     with pytest.raises(ValueError):
         p.tail_fn()
+
+
+@pytest.mark.parametrize("tail, exc, match", [
+    ({"kind": "pareto", "gamma": -1}, ValueError,
+     r"tail.gamma must equal gamma=0.75, got -1.0"),
+    ({"kind": "pareto", "gamma": math.nan}, ModelFileError,
+     r"tail.gamma: expected a finite number, got nan"),
+    ({"kind": "pareto"}, ModelFileError,
+     r"tail.gamma: missing required field"),
+    ({"kind": "pareto", "gamma": "x"}, ModelFileError,
+     r"tail.gamma: expected a number, got 'x'"),
+    ({"kind": "pareto", "gamma": 0.9}, ValueError,
+     r"tail.gamma must equal gamma=0.75, got 0.9"),
+])
+def test_pareto_tail_gamma_is_read_and_must_equal_gamma(tail, exc, match):
+    p = RenewalProblem(tail=tail, gamma=0.75, dx=0.1, t_max=50.0)
+    with pytest.raises(exc, match=match):
+        renewal_limit(p, {"kind": "indicator", "a": 0.0, "b": 2.0})
+
+
+def _exact_renewal_mass(f):
+    """u[0] = 1, u[j] = sum_{i=1..j} f[i] u[j-i]: the lattice renewal
+    equation, term by term (f[0] = 0)."""
+    u = np.zeros(f.size)
+    u[0] = 1.0
+    for j in range(1, f.size):
+        u[j] = np.dot(f[1:j + 1], u[j - 1::-1])
+    return u
+
+
+@pytest.mark.parametrize("size", [501, 1025, 4001])
+@pytest.mark.parametrize("tail", [
+    lambda u: (1.0 + u) ** -0.6, lambda u: (1.0 + u) ** -0.75,
+    lambda u: 1.0 / (1.0 + u), lambda u: np.exp(-np.sqrt(u)),
+], ids=["pareto-0.6", "pareto-0.75", "pareto-1", "stretched-exp"])
+def test_renewal_mass_matches_the_renewal_equation(size, tail):
+    grid = np.arange(size) * 0.05
+    f = np.concatenate(([0.0], np.diff(1.0 - tail(grid))))
+    assert np.abs(_renewal_mass(f) - _exact_renewal_mass(f)).max() <= 1e-15
 
 
 def test_renewal_limit_target_constant():
