@@ -144,9 +144,8 @@ def _run_check(check: dict, seed: int, stream_base: int) -> dict:
             out.update(rep)
             out["pass"] = rep["rate"] >= rate
         elif op == "renewal":
-            gam = _field(check, "gamma", 0.75)
             problem = verify.RenewalProblem(
-                tail={"kind": "pareto", "gamma": gam}, gamma=gam,
+                gamma=_field(check, "gamma", 0.75),
                 dx=_field(check, "dx", 0.05),
                 t_max=_field(check, "t_max", 200.0))
             g = check.get("g", {"kind": "indicator", "a": 0.0, "b": 1.0})

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,27 +57,25 @@ __all__ = ["ExtensionConfig", "ExtensionPath", "sample_jump_in_restart",
 # weight e^{-lam t} is e^{-40}
 _E_FOLDS = 40.0
 _RESOLVENT_T_NODES = 256     # t nodes of resolvent_crosscheck
-_RESOLVENT_X_NODES = 64      # Gauss-Legendre x nodes of resolvent_crosscheck
+_RESOLVENT_X_NODES = 64      # Gauss-Legendre nodes in ln x of the same
 
 
 # ---------------------------------------------------------------------------
 # test-function catalog
 
 
-def make_test_function(spec: Union[Callable, dict]) -> Callable:
+def make_test_function(spec: dict) -> Callable:
     """Fixed vocabulary of test functions so reports are comparable.
 
     Specs: {"kind": "one"}, {"kind": "power", "p": p},
-    {"kind": "indicator", "a": a, "b": b},
+    {"kind": "indicator", "a": a, "b": b} (1 on [a, b)),
     {"kind": "bump", "a": a, "b": b} (smooth, supported on [a, b]).
     Each field is a finite number, named by its path (``f.p``) when it is
     not, and a < b.
     """
-    if callable(spec):
-        return spec
     if not isinstance(spec, dict):
-        raise ValueError(f"test function f: expected an object or a "
-                         f"callable, got {spec!r}")
+        raise ValueError(f"test function f: expected an object, got "
+                         f"{spec!r}")
     kind = spec.get("kind")
     if kind == "one":
         return lambda x: np.ones_like(np.asarray(x, dtype=float))
@@ -86,7 +84,7 @@ def make_test_function(spec: Union[Callable, dict]) -> Callable:
         return lambda x: np.asarray(x, dtype=float) ** p
     if kind == "indicator":
         a, b = _interval(spec, "f")
-        return lambda x: ((np.asarray(x) >= a) & (np.asarray(x) <= b)).astype(float)
+        return lambda x: ((np.asarray(x) >= a) & (np.asarray(x) < b)).astype(float)
     if kind == "bump":
         a, b = _interval(spec, "f")
 
@@ -213,11 +211,16 @@ def occupation_histogram(paths, bins: np.ndarray):
     """Time-weighted histogram of path values (occupation measure density).
 
     ``paths`` iterates PssmpPath or ExtensionPath objects; each segment
-    contributes its duration at its left-end value.  Bins are half-open
+    contributes its duration at its left-end value.  ``bins`` are at least
+    two finite, strictly increasing edges.  Bins are half-open
     [b_i, b_{i+1}) but the last, which includes its right edge, as in
     np.histogram; values outside [bins[0], bins[-1]] are dropped.
     """
     bins = np.asarray(bins, dtype=float)
+    if not (bins.ndim == 1 and bins.size >= 2 and np.isfinite(bins).all()
+            and (np.diff(bins) > 0).all()):
+        raise ValueError(f"bins must be at least two finite, strictly "
+                         f"increasing edges, got {bins.tolist()!r}")
     nb = bins.size - 1
     counts = np.zeros(nb)
     total = 0.0
@@ -248,7 +251,9 @@ def _tilted_setup(model: LevyModel):
         raise NoCramerRoot(
             "entrance law needs a Cramer root theta with alpha*theta < 1, "
             f"got alpha*theta={report.alpha_theta}")
-    return report.theta, report.alpha_theta, esscher(model, report.theta)
+    at = report.alpha_theta
+    return (report.theta, at, esscher(model, report.theta),
+            math.gamma(1.0 - at))
 
 
 @dataclass
@@ -265,7 +270,7 @@ def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
                        config: SimConfig) -> EntranceCurve:
     """Entrance-law functional over a whole t-grid from one shared J batch;
     the normalizer is estimated on an independent stream."""
-    _, at, tilted = _tilted_setup(model)
+    _, at, tilted, gam = _tilted_setup(model)
     t_grid = np.asarray(t_grid, dtype=float)
     for t in t_grid.tolist():
         _check_positive("t", t)
@@ -278,8 +283,6 @@ def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
 
     den = moment(tilted, at - 1.0, n, config.substream(1), functional="J")
 
-    from scipy import special
-    gam = special.gamma(1.0 - at)
     values = np.empty(t_grid.size)
     ses = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
@@ -302,9 +305,8 @@ def entrance_mass_check(model: LevyModel, t: float, n: int,
     curve = entrance_law_curve(model, np.array([t]), {"kind": "one"}, n,
                                config)
     at = curve.alpha_theta
-    from scipy import special
     return CheckReport(lhs=float(curve.values[0]),
-                       rhs=t ** (-at) / float(special.gamma(1.0 - at)),
+                       rhs=t ** (-at) / math.gamma(1.0 - at),
                        std_err=float(curve.std_errs[0]), n=n,
                        censored=curve.censored)
 
@@ -318,29 +320,17 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     lhs: time-quadrature of the entrance law, n(int_0^{T0} e^{-lam t} f(X_t) dt).
     rhs: space-quadrature of f(x) x^{1/alpha - 1 - theta} E_dual(e^{-lam
     x^{1/alpha} I}) divided by alpha*Gamma(1-at)*E_dual(I^{at-1}), with I
-    sampled under the dual of the tilted model.
+    sampled under the dual of the tilted model.  f is an ``indicator`` or a
+    ``bump`` on [a, b] with 0 < a, the support the x-quadrature covers.
     """
     _check_positive("lambda", lam)
-    theta, at, tilted = _tilted_setup(model)
-    alpha = model.alpha
     func = make_test_function(f)
-
-    # support of f by scanning, before any sampling: the x-quadrature
-    # covers the part of the probe grid where f is nonzero, so an f that
-    # is nonzero at either end of the grid would be cut off there
-    probe = np.geomspace(1e-4, 1e4, 4001)
-    on = func(probe) != 0
-    if not on.any():
-        raise ValueError("test function f is identically zero on the probe "
-                         "grid")
-    if on[0] or on[-1]:
-        raise ValueError("test function f is nonzero at the end of the probe "
-                         f"grid [{probe[0]:g}, {probe[-1]:g}]; the resolvent "
-                         "needs an f with compact support inside it")
-    a, b = probe[on][0] * 0.999, probe[on][-1] * 1.001
-
-    from scipy import special
-    gam = float(special.gamma(1.0 - at))
+    if f["kind"] not in ("indicator", "bump") or not f["a"] > 0:
+        raise ValueError(f"the resolvent needs an indicator or bump f on "
+                         f"[a, b] with 0 < a < b, got {f!r}")
+    a, b = float(f["a"]), float(f["b"])
+    theta, at, tilted, gam = _tilted_setup(model)
+    alpha = model.alpha
 
     def ratio(values, den, den_se):
         # den comes from another stream, so the two errors add in quadrature
@@ -363,14 +353,16 @@ def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
     lhs, lhs_se = ratio(q * jv ** (at - 1.0), den.value, den.std_err)
 
     # --- rhs: per dual-I draw, the x-quadrature over the support of f of
-    # f(x) x^{1/alpha-1-theta} e^{-lam x^{1/alpha} I}/(alpha Gamma(1-at))
+    # f(x) x^{1/alpha-1-theta} e^{-lam x^{1/alpha} I}/(alpha Gamma(1-at)),
+    # in y = ln x: dx = x dy, so the nodes stay dense where x is small
     hat = dual(tilted)
     iv, ic = sample_I_batch(hat, n, config.substream(2))
     iv = iv[~ic]
     nodes, weights = np.polynomial.legendre.leggauss(_RESOLVENT_X_NODES)
-    x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    wx = 0.5 * (b - a) * weights * func(x) \
-        * x ** (1.0 / alpha - 1.0 - theta) / (alpha * gam)
+    la, lb = math.log(a), math.log(b)
+    x = np.exp(0.5 * (lb - la) * nodes + 0.5 * (la + lb))
+    wx = 0.5 * (lb - la) * weights * func(x) \
+        * x ** (1.0 / alpha - theta) / (alpha * gam)
     r = sum(wi * np.exp(-lam * xi ** (1.0 / alpha) * iv)
             for wi, xi in zip(wx, x))
     iv2, ic2 = sample_I_batch(hat, n, config.substream(3))

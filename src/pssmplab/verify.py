@@ -2,7 +2,7 @@
 
 Three families of checks: two-sample distribution tests (scaling property,
 restart laws), the deterministic renewal-measure limit for infinite-mean
-waiting times with regular-variation index gamma in (1/2, 1], and a
+Pareto waiting times of index gamma in (1/2, 1], and a
 qualitative demonstration of the boundary-root regime where the usual
 derivative condition fails.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import catalog
 from .errors import BetaOutOfRange, GridTooCoarse, TooFewSamples
 from .expfun import sample_I_batch
 from .lamperti import _check_positive, pssmp_marginal
-from .models import LevyModel, _interval, _number, cramer_root, esscher
+from .models import LevyModel, _interval, cramer_root, esscher
 from .paths import SimConfig, sample_increment_batch
 
 __all__ = ["KsReport", "RenewalProblem", "ks_two_sample", "scaling_test",
@@ -93,13 +93,9 @@ def multi_seed_ks(sampler: Callable[[int], KsReport],
 
 @dataclass(frozen=True)
 class RenewalProblem:
-    """Waiting-time law given by its tail 1-G; infinite mean when gamma <= 1.
+    """Pareto waiting times, P(wait > u) = (1 + u)^{-gamma}; infinite mean
+    when gamma <= 1."""
 
-    ``tail`` is either a callable u -> P(wait > u) or the spec
-    {"kind": "pareto", "gamma": g} for (1+u)^{-g}.
-    """
-
-    tail: Union[Callable, dict]
     gamma: float
     dx: float
     t_max: float
@@ -115,17 +111,6 @@ class RenewalProblem:
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"t_max must be a whole number of dx steps, got "
                              f"dx={self.dx!r}, t_max={self.t_max!r}")
-
-    def tail_fn(self) -> Callable:
-        if callable(self.tail):
-            return self.tail
-        if self.tail.get("kind") == "pareto":
-            g = _number(self.tail, "gamma", "tail")
-            if g != self.gamma:
-                raise ValueError(f"tail.gamma must equal gamma={self.gamma!r}"
-                                 f", got {g!r}")
-            return lambda u: (1.0 + np.asarray(u, dtype=float)) ** (-g)
-        raise ValueError(f"unknown tail spec {self.tail!r}")
 
 
 def _renewal_mass(prob_mass: np.ndarray) -> np.ndarray:
@@ -155,27 +140,26 @@ def _renewal_mass(prob_mass: np.ndarray) -> np.ndarray:
 
 
 def _renewal_value(problem: RenewalProblem, g: Callable, dx: float) -> float:
-    tail = problem.tail_fn()
     t = problem.t_max
     j = int(round(t / dx))
     grid = np.arange(j + 1) * dx  # ends at t: t / dx is whole
-    cdf = 1.0 - tail(grid)
-    prob_mass = np.diff(cdf)
+    tail = (1.0 + grid) ** (-problem.gamma)
+    prob_mass = np.diff(1.0 - tail)
     u_mass = _renewal_mass(np.concatenate(([0.0], prob_mass)))
     # m(t) = integral_0^t tail(u) du, trapezoid on the same grid
     m_cum = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (tail(grid[:-1]) + tail(grid[1:])) * dx)))
+        ([0.0], np.cumsum(0.5 * (tail[:-1] + tail[1:]) * dx)))
     # sum over renewal points y <= t; g may look left of 0
     return float(m_cum[j] * np.sum(g(t - grid) * u_mass))
 
 
-def renewal_limit(problem: RenewalProblem, g: Union[Callable, dict]) -> dict:
+def renewal_limit(problem: RenewalProblem, g: dict) -> dict:
     """m(t) * integral g(t - y) U(dy) at t = t_max against its
     strong-renewal limit, by deterministic lattice convolution at two
     resolutions, dx and dx/2; a move of more than 2 % between them raises
-    GridTooCoarse.  The convolutions are numpy FFTs, so an indicator ``g``
-    loads no scipy module; a callable ``g`` is integrated with scipy's
-    ``quad``.  The cost is O(N log N) in the N = t_max / dx lattice points.
+    GridTooCoarse.  ``g`` is the indicator of [a, b),
+    {"kind": "indicator", "a": a, "b": b}.  The convolutions are numpy
+    FFTs, at a cost of O(N log N) in the N = t_max / dx lattice points.
 
     The limit constant is 1 / (Gamma(gamma) * Gamma(2 - gamma)): it follows
     from U(t) ~ t^gamma / (Gamma(1+gamma) Gamma(1-gamma) ell(t)) together
@@ -184,19 +168,11 @@ def renewal_limit(problem: RenewalProblem, g: Union[Callable, dict]) -> dict:
     is the classical renewal theorem.  (An often-quoted variant with
     Gamma(1 - gamma) in place of Gamma(2 - gamma) fails that endpoint.)
     """
-    if callable(g):
-        g_fn = g
-        lo, hi = -problem.t_max, problem.t_max
-        from scipy import integrate
-        total_g, _ = integrate.quad(g_fn, lo, hi, limit=400)
-    elif not isinstance(g, dict):
-        raise ValueError(f"g: expected an object or a callable, got {g!r}")
-    elif g.get("kind") == "indicator":
-        a, b = _interval(g, "g")
-        g_fn = lambda y: ((np.asarray(y) >= a) & (np.asarray(y) < b)).astype(float)
-        total_g = b - a
-    else:
-        raise ValueError(f"unknown g spec {g!r}")
+    if not isinstance(g, dict) or g.get("kind") != "indicator":
+        raise ValueError(f"g: expected an object of kind 'indicator', got "
+                         f"{g!r}")
+    a, b = _interval(g, "g")
+    g_fn = lambda y: ((y >= a) & (y < b)).astype(float)
 
     coarse = _renewal_value(problem, g_fn, problem.dx)
     fine = _renewal_value(problem, g_fn, problem.dx / 2.0)
@@ -208,7 +184,7 @@ def renewal_limit(problem: RenewalProblem, g: Union[Callable, dict]) -> dict:
         raise GridTooCoarse(
             f"halving dx moved value(t_max point) by {move:.1%} (> 2%)")
     gam = problem.gamma
-    target = total_g / (math.gamma(gam) * math.gamma(2.0 - gam))
+    target = (b - a) / (math.gamma(gam) * math.gamma(2.0 - gam))
     return {"t": float(problem.t_max), "value": fine, "target": target}
 
 

@@ -228,8 +228,7 @@ def test_criterion_09_jump_in_gate_and_restart_law():
 
 
 def test_criterion_10_renewal_limit():
-    problem = RenewalProblem(tail={"kind": "pareto", "gamma": 0.75},
-                             gamma=0.75, dx=0.05, t_max=200.0)
+    problem = RenewalProblem(gamma=0.75, dx=0.05, t_max=200.0)
     res = renewal_limit(problem, {"kind": "indicator", "a": 0.0, "b": 1.0})
     rel = abs(res["value"] - res["target"]) / res["target"]
     ok = rel < 0.15  # grid stability to 2% is enforced inside renewal_limit

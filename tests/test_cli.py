@@ -286,7 +286,7 @@ def test_suite_check_field_errors_are_recorded():
         "of dx steps, got dx=0.3, t_max=50.0"
     assert bad_dt["error"] == "ValueError: dt must be > 0"
     assert bad_f["error"] == "ValueError: test function f: expected an " \
-        "object or a callable, got 3"
+        "object, got 3"
     assert empty_g["error"] == "ValueError: g: indicator needs finite a < b, " \
         "got a=1.0, b=0.0"
     assert far_g["error"] == "ValueError: g sums to zero over the lattice " \

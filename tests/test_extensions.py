@@ -7,10 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from pssmplab import catalog, cli, extensions, models
 from pssmplab.errors import ConfigRejected, NoCramerRoot
+from pssmplab.expfun import sample_I_batch
 from pssmplab.extensions import (
     ExtensionConfig,
     entrance_law_curve,
@@ -35,17 +36,18 @@ def test_test_function_catalog():
     pw = make_test_function({"kind": "power", "p": 2.0})
     assert pw(3.0) == 9.0
     ind = make_test_function({"kind": "indicator", "a": 1.0, "b": 2.0})
-    np.testing.assert_array_equal(ind(np.array([0.5, 1.5, 2.5])), [0, 1, 0])
+    np.testing.assert_array_equal(ind(np.array([0.5, 1.0, 1.5, 2.0, 2.5])),
+                                  [0, 1, 1, 0, 0])  # 1 on [a, b)
     bump = make_test_function({"kind": "bump", "a": 0.5, "b": 1.5})
     assert bump(np.array([0.5]))[0] == 0.0
     assert bump(np.array([1.0]))[0] == pytest.approx(1.0)
     assert bump(np.array([2.0]))[0] == 0.0
-    f = lambda x: x
-    assert make_test_function(f) is f
     with pytest.raises(ValueError):
         make_test_function({"kind": "mystery"})
-    with pytest.raises(ValueError, match="test function f: expected an object"):
-        make_test_function(3)
+    for bad in (3, lambda x: x):
+        with pytest.raises(ValueError,
+                           match="test function f: expected an object"):
+            make_test_function(bad)
 
 
 def test_extension_config_validation():
@@ -181,6 +183,19 @@ def test_occupation_histogram_rejects_zero_duration():
         occupation_histogram([], np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("bins", [[1.0, 0.5, 0.0], [0.0, 1.0, 1.0, 2.0],
+                                  [0.0, math.nan, 2.0], [1.0], [[0.0, 1.0]]])
+def test_occupation_histogram_rejects_bad_bins(bins):
+    # as np.histogram does; unchecked, decreasing edges would give
+    # densities of -0.0 and a repeated or NaN edge NaN
+    p = PssmpPath(times=np.array([0.0, 3.0, 4.0]),
+                  values=np.array([0.5, 1.5, 1.5]),
+                  t0=None, x0=0.5, alpha=1.0, truncated=True)
+    with pytest.raises(ValueError, match="bins must be at least two finite, "
+                                         "strictly increasing edges"):
+        occupation_histogram([p], np.array(bins))
+
+
 def test_entrance_law_mass_brownian():
     # f = 1 at t = 1: mass is 1/Gamma(1 - alpha*theta) = 1/Gamma(1/2)
     rep = entrance_mass_check(catalog.brownian(), 1.0, 20000, CFG)
@@ -289,17 +304,45 @@ def test_time_quadrature_nodes_that_underflow_to_zero_are_an_error(
         entrance_mass_check(model, 1.0, 200, CFG)
 
 
-@pytest.mark.parametrize("spec", [{"kind": "one"}, {"kind": "power", "p": 1}])
-def test_resolvent_crosscheck_rejects_f_nonzero_at_probe_ends(spec,
-                                                              monkeypatch):
-    # the x-quadrature would cover only the probe grid and cut f off at its
-    # ends; the check is refused before anything is sampled
+@pytest.mark.parametrize("lam, a, b", [(1.0, 0.5, 1.5), (2.0, 0.5, 1.5),
+                                       (1.0, 0.5, 9000.0)])
+def test_resolvent_rhs_is_the_exact_x_integral(lam, a, b):
+    # brownian has alpha = 1, so alpha*theta = theta and, per dual-I draw
+    # with c = lam I, the rhs's x-integral of the indicator of [a, b) is
+    # int_a^b x^{-theta} e^{-c x} dx / Gamma(1 - theta)
+    #     = c^{theta-1} [P(1-theta, c b) - P(1-theta, c a)]
+    # over the normalizer E_dual(I^{theta-1}), on the check's own streams
+    model = catalog.brownian()
+    assert model.alpha == 1.0
+    theta = cramer_root(model).theta
+    hat = models.dual(models.esscher(model, theta))
+    iv, ic = sample_I_batch(hat, 2000, CFG.substream(2))
+    iv2, ic2 = sample_I_batch(hat, 2000, CFG.substream(3))
+    c, s = lam * iv[~ic], 1.0 - theta
+    r = c ** -s * (special.gammainc(s, c * b) - special.gammainc(s, c * a))
+    expected = r.mean() / (iv2[~ic2] ** (theta - 1.0)).mean()
+    rep = resolvent_crosscheck(model, lam,
+                               {"kind": "indicator", "a": a, "b": b}, 2000,
+                               CFG)
+    assert rep.rhs == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "one"}, {"kind": "power", "p": 1},
+    {"kind": "indicator", "a": 0.0, "b": 1.0},
+    {"kind": "bump", "a": -1.0, "b": 1.0}])
+def test_resolvent_crosscheck_refuses_f_without_support_in_0_inf(
+        spec, monkeypatch):
+    # the x-quadrature runs in ln x over the support f states, so f must
+    # be an indicator or bump with 0 < a; anything else is refused before
+    # anything is sampled
     def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the support probe")
+        raise AssertionError("sampled before the support check")
 
     monkeypatch.setattr(extensions, "sample_J_batch", no_sampling)
     monkeypatch.setattr(extensions, "sample_I_batch", no_sampling)
-    with pytest.raises(ValueError, match="function f is nonzero"):
+    with pytest.raises(ValueError, match=r"the resolvent needs an indicator "
+                                         r"or bump f on \[a, b\] with 0 < a"):
         resolvent_crosscheck(catalog.brownian(), 1.0, spec, 5000, CFG)
 
 

@@ -107,10 +107,15 @@ _NO_SCIPY = {
         "'--out', 'analyze.json']),\n"
         "         cli.main(['simulate', '--model', 'two_sided.json', "
         "'--kind', 'pssmp', '--samples', '2', '--out', 'paths.jsonl'])]"),
+    "entrance_mass": (
+        "from pssmplab import catalog\n"
+        "from pssmplab.extensions import entrance_mass_check\n"
+        "from pssmplab.paths import SimConfig\n"
+        "value = entrance_mass_check(catalog.brownian(), 1.0, 64, "
+        "SimConfig(seed=0)).to_json()"),
     "renewal_indicator": (
         "from pssmplab.verify import RenewalProblem, renewal_limit\n"
-        "p = RenewalProblem(tail={'kind': 'pareto', 'gamma': 0.75}, "
-        "gamma=0.75, dx=0.05, t_max=200.0)\n"
+        "p = RenewalProblem(gamma=0.75, dx=0.05, t_max=200.0)\n"
         "value = renewal_limit(p, {'kind': 'indicator', 'a': 0.0, "
         "'b': 1.0})"),
 }
@@ -136,19 +141,6 @@ _FIRST_USE = {
         "from pssmplab.verify import ks_two_sample\n"
         "value = ks_two_sample(np.linspace(0.0, 1.0, 30), "
         "np.linspace(0.2, 1.3, 25)).to_json()"),
-    "renewal_callable_g": (
-        "import numpy as np\n"
-        "from pssmplab.verify import RenewalProblem, renewal_limit\n"
-        "p = RenewalProblem(tail={'kind': 'pareto', 'gamma': 0.75}, "
-        "gamma=0.75, dx=0.05, t_max=50.0)\n"
-        "value = renewal_limit(p, lambda y: np.exp(-np.abs("
-        "np.asarray(y, dtype=float))))"),
-    "entrance_mass": (
-        "from pssmplab import catalog\n"
-        "from pssmplab.extensions import entrance_mass_check\n"
-        "from pssmplab.paths import SimConfig\n"
-        "value = entrance_mass_check(catalog.brownian(), 1.0, 64, "
-        "SimConfig(seed=0)).to_json()"),
 }
 
 
@@ -162,8 +154,9 @@ def test_first_use_of_scipy_gives_the_same_value(case):
 
 
 def test_concurrent_first_use_in_suite_is_reproducible():
-    # two pool threads import scipy.stats and scipy.special at once; the
-    # report must equal the one-thread report byte for byte
+    # the scaling op imports scipy.stats (and with it scipy.special) on a
+    # pool thread while the other ops run; the report must equal the
+    # one-thread report byte for byte
     code = (
         "import json, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"

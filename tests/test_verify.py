@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from pssmplab import catalog
-from pssmplab.errors import (
-    BetaOutOfRange,
-    GridTooCoarse,
-    ModelFileError,
-    TooFewSamples,
-)
+from pssmplab.errors import BetaOutOfRange, GridTooCoarse, TooFewSamples
 from pssmplab.paths import SimConfig
 from pssmplab.verify import (
     KsReport,
@@ -66,47 +61,21 @@ def test_scaling_test_brownian():
 
 
 def test_renewal_problem_validation():
+    for gamma in (0.3, -1.0, math.nan):
+        with pytest.raises(ValueError, match=r"gamma must be in \(1/2, 1\]"):
+            RenewalProblem(gamma=gamma, dx=0.05, t_max=10.0)
     with pytest.raises(ValueError):
-        RenewalProblem(tail={"kind": "pareto", "gamma": 0.3}, gamma=0.3,
-                       dx=0.05, t_max=10.0)
-    with pytest.raises(ValueError):
-        RenewalProblem(tail={"kind": "pareto", "gamma": 0.75}, gamma=0.75,
-                       dx=0.0, t_max=10.0)
+        RenewalProblem(gamma=0.75, dx=0.0, t_max=10.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="dx must be finite"):
-            RenewalProblem(tail={"kind": "pareto", "gamma": 0.75},
-                           gamma=0.75, dx=bad, t_max=10.0)
+            RenewalProblem(gamma=0.75, dx=bad, t_max=10.0)
         with pytest.raises(ValueError, match="t_max must be finite"):
-            RenewalProblem(tail={"kind": "pareto", "gamma": 0.75},
-                           gamma=0.75, dx=0.05, t_max=bad)
+            RenewalProblem(gamma=0.75, dx=0.05, t_max=bad)
     # a lattice that cannot end at t_max would read m(t) past it
     for dx in (0.3, 0.07):
         with pytest.raises(ValueError, match=rf"whole number of dx steps, "
                                              rf"got dx={dx}, t_max=50\.0"):
-            RenewalProblem(tail={"kind": "pareto", "gamma": 0.75},
-                           gamma=0.75, dx=dx, t_max=50.0)
-    p = RenewalProblem(tail={"kind": "weird"}, gamma=0.75, dx=0.05,
-                       t_max=10.0)
-    with pytest.raises(ValueError):
-        p.tail_fn()
-
-
-@pytest.mark.parametrize("tail, exc, match", [
-    ({"kind": "pareto", "gamma": -1}, ValueError,
-     r"tail.gamma must equal gamma=0.75, got -1.0"),
-    ({"kind": "pareto", "gamma": math.nan}, ModelFileError,
-     r"tail.gamma: expected a finite number, got nan"),
-    ({"kind": "pareto"}, ModelFileError,
-     r"tail.gamma: missing required field"),
-    ({"kind": "pareto", "gamma": "x"}, ModelFileError,
-     r"tail.gamma: expected a number, got 'x'"),
-    ({"kind": "pareto", "gamma": 0.9}, ValueError,
-     r"tail.gamma must equal gamma=0.75, got 0.9"),
-])
-def test_pareto_tail_gamma_is_read_and_must_equal_gamma(tail, exc, match):
-    p = RenewalProblem(tail=tail, gamma=0.75, dx=0.1, t_max=50.0)
-    with pytest.raises(exc, match=match):
-        renewal_limit(p, {"kind": "indicator", "a": 0.0, "b": 2.0})
+            RenewalProblem(gamma=0.75, dx=dx, t_max=50.0)
 
 
 def _exact_renewal_mass(f):
@@ -131,8 +100,7 @@ def test_renewal_mass_matches_the_renewal_equation(size, tail):
 
 
 def test_renewal_limit_target_constant():
-    p = RenewalProblem(tail={"kind": "pareto", "gamma": 0.75}, gamma=0.75,
-                       dx=0.1, t_max=50.0)
+    p = RenewalProblem(gamma=0.75, dx=0.1, t_max=50.0)
     res = renewal_limit(p, {"kind": "indicator", "a": 0.0, "b": 2.0})
     expect = 2.0 / (math.gamma(0.75) * math.gamma(1.25))
     assert res["target"] == pytest.approx(expect, rel=1e-12)
@@ -142,19 +110,10 @@ def test_renewal_limit_target_constant():
 def test_renewal_limit_gamma_one_is_classical():
     # gamma = 1: the limit constant is exactly 1 and the convolution value
     # must track the classical renewal theorem
-    p = RenewalProblem(tail={"kind": "pareto", "gamma": 1.0}, gamma=1.0,
-                       dx=0.05, t_max=200.0)
+    p = RenewalProblem(gamma=1.0, dx=0.05, t_max=200.0)
     res = renewal_limit(p, {"kind": "indicator", "a": 0.0, "b": 1.0})
     assert res["target"] == pytest.approx(1.0, abs=1e-12)
     assert abs(res["value"] - 1.0) < 0.1
-
-
-def test_renewal_limit_callable_inputs():
-    p = RenewalProblem(tail=lambda u: (1.0 + np.asarray(u)) ** (-0.75),
-                       gamma=0.75, dx=0.05, t_max=50.0)
-    res = renewal_limit(
-        p, lambda y: np.exp(-np.abs(np.asarray(y, dtype=float))))
-    assert res["value"] > 0 and res["target"] > 0
 
 
 @pytest.mark.parametrize("g, match", [
@@ -163,13 +122,10 @@ def test_renewal_limit_callable_inputs():
      "g: indicator needs finite"),
     ({"kind": "indicator", "a": 300.0, "b": 400.0},
      "g sums to zero over the lattice"),
-    (lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-     "g sums to zero over the lattice"),
-    (3, "g: expected an object or a callable"),
+    (3, "g: expected an object of kind 'indicator'"),
 ])
 def test_renewal_limit_rejects_g_without_lattice_mass(g, match):
-    p = RenewalProblem(tail={"kind": "pareto", "gamma": 0.75}, gamma=0.75,
-                       dx=0.05, t_max=200.0)
+    p = RenewalProblem(gamma=0.75, dx=0.05, t_max=200.0)
     with pytest.raises(ValueError, match=match):
         renewal_limit(p, g)
 
@@ -177,8 +133,7 @@ def test_renewal_limit_rejects_g_without_lattice_mass(g, match):
 def test_renewal_limit_g_missing_only_the_coarse_lattice_is_grid_too_coarse():
     # the fine lattice (dx/2 = 0.025) hits [0.02, 0.03), the coarse one
     # does not: a smaller dx is the fix, not a different g
-    p = RenewalProblem(tail={"kind": "pareto", "gamma": 0.75}, gamma=0.75,
-                       dx=0.05, t_max=200.0)
+    p = RenewalProblem(gamma=0.75, dx=0.05, t_max=200.0)
     with pytest.raises(GridTooCoarse, match="halving dx"):
         renewal_limit(p, {"kind": "indicator", "a": 0.02, "b": 0.03})
 
