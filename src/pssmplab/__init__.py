@@ -18,7 +18,7 @@ from .extensions import (
     ExtensionPath,
     entrance_mass_check,
     occupation_histogram,
-    resolvent_crosscheck,
+    resolvent_check,
     sample_jump_in_restart,
     simulate_extension,
 )

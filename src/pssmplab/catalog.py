@@ -11,7 +11,7 @@ from .models import (
 )
 
 __all__ = ["brownian", "two_sided", "killed_drift", "pure_drift",
-           "boundary_root"]
+           "bessel", "boundary_root"]
 
 
 def brownian() -> LevyModel:
@@ -41,6 +41,17 @@ def pure_drift(alpha: float = 1.0) -> LevyModel:
     """Conservative unit downward drift: I = alpha exactly."""
     return LevyModel(drift=-1.0, gaussian=0.0, jumps=(), killing=0.0,
                      alpha=alpha)
+
+
+def bessel(delta: float = 1.0) -> LevyModel:
+    """Lamperti exponent of the Bessel process BES(delta) killed at 0, for
+    0 < delta < 2: xi_t = B_t + (delta/2 - 1) t with alpha = 1/2.  With
+    mu = 1 - delta/2, theta = 2 mu and alpha*theta = mu; delta = 1 is
+    Brownian motion killed at 0."""
+    if not 0.0 < delta < 2.0:
+        raise ValueError(f"delta must be in (0, 2), got {delta!r}")
+    return LevyModel(drift=delta / 2.0 - 1.0, gaussian=1.0, jumps=(),
+                     killing=0.0, alpha=0.5)
 
 
 def boundary_root(q: float = 1.0, beta: float = 0.75, delta: float = 0.01,

@@ -103,7 +103,7 @@ _Z_CHECKS = {
         model, n, cfg),
     "entrance_law": lambda model, check, n, cfg:
         extensions.entrance_mass_check(model, _field(check, "t", 1.0), n, cfg),
-    "resolvent": lambda model, check, n, cfg: extensions.resolvent_crosscheck(
+    "resolvent": lambda model, check, n, cfg: extensions.resolvent_check(
         model, _field(check, "lambda", 1.0),
         check.get("f", {"kind": "bump", "a": 0.5, "b": 1.5}), n, cfg),
 }
@@ -114,6 +114,8 @@ def _run_check(check: dict, seed: int, stream_base: int) -> dict:
     out = {"op": op}
     try:
         n = _field(check, "n", 20000, integer=True)
+        if n < 1:
+            raise ModelFileError(f"n: expected an integer >= 1, got {n}")
         z_max = _field(check, "z_max", 4.0)
         cfg = SimConfig(dt=_field(check, "dt", SimConfig.dt),
                         horizon=_field(check, "horizon", SimConfig.horizon,

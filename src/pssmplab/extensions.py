@@ -28,13 +28,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import BetaOutOfRange, ConfigRejected, NoCramerRoot
-from .expfun import (
-    CheckReport,
-    mean_se,
-    moment,
-    sample_I_batch,
-    sample_J_batch,
-)
+from .expfun import CheckReport, mean_se, moment, sample_J_batch
 from .lamperti import _check_positive, levy_to_pssmp
 from .models import (
     BetaClass,
@@ -43,21 +37,16 @@ from .models import (
     _number,
     classify_beta,
     cramer_root,
-    dual,
     esscher,
 )
 from .paths import SimConfig, sample_levy_path
 
 __all__ = ["ExtensionConfig", "ExtensionPath", "sample_jump_in_restart",
            "simulate_extension", "entrance_mass_check", "entrance_law_curve",
-           "resolvent_crosscheck", "occupation_histogram",
+           "resolvent_check", "occupation_histogram",
            "make_test_function"]
 
-# the resolvent's time quadrature runs to t_max = _E_FOLDS / lam, where the
-# weight e^{-lam t} is e^{-40}
-_E_FOLDS = 40.0
-_RESOLVENT_T_NODES = 256     # t nodes of resolvent_crosscheck
-_RESOLVENT_X_NODES = 64      # Gauss-Legendre nodes in ln x of the same
+_RESOLVENT_X_NODES = 96  # Gauss-Legendre nodes in ln x of resolvent_check
 
 
 # ---------------------------------------------------------------------------
@@ -311,63 +300,56 @@ def entrance_mass_check(model: LevyModel, t: float, n: int,
                        censored=curve.censored)
 
 
-def resolvent_crosscheck(model: LevyModel, lam: float, f, n: int,
-                         config: SimConfig) -> CheckReport:
-    """Resolvent of the excursion measure by two independent pipelines,
-    each a mean of per-draw quadrature values over a mean of its normalizer
-    on an independent stream, with the delta-method SE.
+def resolvent_check(model: LevyModel, lam: float, f, n: int,
+                    config: SimConfig) -> CheckReport:
+    """Resolvent of the excursion measure, n(int_0^{T0} e^{-lam t} f(X_t)
+    dt), on a Bessel exponent (``catalog.bessel``), against its exact value.
 
-    lhs: time-quadrature of the entrance law, n(int_0^{T0} e^{-lam t} f(X_t) dt).
-    rhs: space-quadrature of f(x) x^{1/alpha - 1 - theta} E_dual(e^{-lam
-    x^{1/alpha} I}) divided by alpha*Gamma(1-at)*E_dual(I^{at-1}), with I
-    sampled under the dual of the tilted model.  f is an ``indicator`` or a
-    ``bump`` on [a, b] with 0 < a, the support the x-quadrature covers.
+    lhs: per J draw under the tilt, the entrance law's t-integral in
+    x = t^alpha / J^alpha, the x-quadrature of f(x) x^{1/alpha - 1 - theta}
+    e^{-lam x^{1/alpha} J} / (alpha Gamma(1-at)), over the mean of
+    J^{at-1} on an independent stream, with the delta-method SE.
+    rhs: int f(y) y 2 (2 lam / y^2)^{mu/2} K_mu(y sqrt(2 lam)) dy
+    / Gamma(1-mu) with mu = -drift, the exact value for BES(2 - 2 mu).
+    Both quadratures run in ln x over [a, b], the support of f, which is an
+    ``indicator`` or a ``bump`` with 0 < a.  Any other exponent than a
+    Bessel one is refused before anything is sampled or solved.
     """
     _check_positive("lambda", lam)
     func = make_test_function(f)
     if f["kind"] not in ("indicator", "bump") or not f["a"] > 0:
         raise ValueError(f"the resolvent needs an indicator or bump f on "
                          f"[a, b] with 0 < a < b, got {f!r}")
+    if (model.gaussian != 1.0 or model.jumps or model.killing != 0.0
+            or model.alpha != 0.5 or not -1.0 < model.drift < 0.0):
+        raise ValueError(f"the resolvent check needs a Bessel exponent: "
+                         f"gaussian 1, no jumps, no killing, alpha 1/2 and "
+                         f"-1 < drift < 0, got {model!r}")
     a, b = float(f["a"]), float(f["b"])
+    mu = -model.drift
     theta, at, tilted, gam = _tilted_setup(model)
     alpha = model.alpha
 
-    def ratio(values, den, den_se):
-        # den comes from another stream, so the two errors add in quadrature
-        m, se = mean_se(values)
-        return m / den, math.hypot(se, m / den * den_se) / den
-
-    # --- lhs: per J draw, the t-quadrature of e^{-lam t} times the entrance
-    # law, in u = t^{1-at}: dt = t^{at}/(1-at) du cancels the law's t^{-at}.
-    # The trapezoid from 0 at u = 0 weighs the last node du/2, the others du.
-    p = 1.0 - at
-    u = np.linspace(0.0, (_E_FOLDS / lam) ** p, _RESOLVENT_T_NODES + 1)[1:]
-    t = u ** (1.0 / p)
-    _check_positive("t", float(t[0]))  # the smallest node
-    c = (u[1] - u[0]) * np.exp(-lam * t) / (p * gam)
-    c[-1] *= 0.5
-    jv, jc = sample_J_batch(tilted, n, config)
-    jv = jv[~jc]
-    q = sum(ci * func(ti ** alpha / jv ** alpha) for ci, ti in zip(c, t))
-    den = moment(tilted, at - 1.0, n, config.substream(1), functional="J")
-    lhs, lhs_se = ratio(q * jv ** (at - 1.0), den.value, den.std_err)
-
-    # --- rhs: per dual-I draw, the x-quadrature over the support of f of
-    # f(x) x^{1/alpha-1-theta} e^{-lam x^{1/alpha} I}/(alpha Gamma(1-at)),
-    # in y = ln x: dx = x dy, so the nodes stay dense where x is small
-    hat = dual(tilted)
-    iv, ic = sample_I_batch(hat, n, config.substream(2))
-    iv = iv[~ic]
+    # nodes in y = ln x: dx = x dy, so they stay dense where x is small
     nodes, weights = np.polynomial.legendre.leggauss(_RESOLVENT_X_NODES)
     la, lb = math.log(a), math.log(b)
     x = np.exp(0.5 * (lb - la) * nodes + 0.5 * (la + lb))
-    wx = 0.5 * (lb - la) * weights * func(x) \
-        * x ** (1.0 / alpha - theta) / (alpha * gam)
-    r = sum(wi * np.exp(-lam * xi ** (1.0 / alpha) * iv)
-            for wi, xi in zip(wx, x))
-    iv2, ic2 = sample_I_batch(hat, n, config.substream(3))
-    rhs, rhs_se = ratio(r, *mean_se(iv2[~ic2] ** (at - 1.0)))
+    dx = 0.5 * (lb - la) * weights * func(x) * x
 
-    return CheckReport(lhs=lhs, rhs=rhs, std_err=math.hypot(lhs_se, rhs_se),
-                       n=n, censored=int(jc.sum() + ic.sum() + ic2.sum())
-                       + den.censored)
+    jv, jc = sample_J_batch(tilted, n, config)
+    jv = jv[~jc]
+    wx = dx * x ** (1.0 / alpha - 1.0 - theta) / (alpha * gam)
+    r = sum(wi * np.exp(-lam * xi ** (1.0 / alpha) * jv)
+            for wi, xi in zip(wx, x))
+    den = moment(tilted, at - 1.0, n, config.substream(1), functional="J")
+    m, se = mean_se(r)
+    lhs = m / den.value
+    # den comes from another stream, so the two errors add in quadrature
+    lhs_se = math.hypot(se, lhs * den.std_err) / den.value
+
+    from scipy.special import kv
+    s = math.sqrt(2.0 * lam)
+    rhs = float(np.sum(dx * 2.0 * x * (s / x) ** mu * kv(mu, s * x))) \
+        / math.gamma(1.0 - mu)
+    return CheckReport(lhs=lhs, rhs=rhs, std_err=lhs_se, n=n,
+                       censored=int(jc.sum()) + den.censored)

@@ -33,7 +33,7 @@ from pssmplab.extensions import (
     entrance_mass_check,
     extension_gamma,
     occupation_histogram,
-    resolvent_crosscheck,
+    resolvent_check,
     sample_jump_in_restart,
 )
 from pssmplab.lamperti import hitting_time_samples, levy_to_pssmp
@@ -237,9 +237,9 @@ def test_criterion_10_renewal_limit():
 
 
 def test_criterion_11_resolvent_crosscheck():
-    rep = resolvent_crosscheck(catalog.brownian(), 1.0,
-                               {"kind": "bump", "a": 0.5, "b": 1.5},
-                               100000, CFG)
+    # the resolvent of BES(1)'s excursion measure against its exact value
+    rep = resolvent_check(catalog.bessel(1.0), 1.0,
+                          {"kind": "bump", "a": 0.5, "b": 1.5}, 100000, CFG)
     ok = rep.z_score < 4.0
-    _report(11, ok, f"lhs={rep.lhs:.5f} rhs={rep.rhs:.5f} "
-                    f"z={rep.z_score:.2f}")
+    z = (rep.lhs - rep.rhs) / rep.std_err
+    _report(11, ok, f"lhs={rep.lhs:.6f} exact={rep.rhs:.6f} z={z:+.2f}")

@@ -177,7 +177,7 @@ def test_verify_custom_suite(tmp_path):
     # the resolvent op with its default lambda and f runs and reports its
     # fields; its verdict is not read here
     report = cli.run_suite({"checks": [
-        {"op": "resolvent", "model": "brownian", "n": 500},
+        {"op": "resolvent", "model": "bessel", "n": 500},
     ]}, seed=0)
     (res,) = report["checks"]
     assert "error" not in res
@@ -267,12 +267,18 @@ def test_suite_check_field_errors_are_recorded():
         {"op": "renewal", "n": 2.5},
         # a lattice of step 0.3 ends at 50.1, not at t_max
         {"op": "renewal", "dx": 0.3, "t_max": 50.0},
+        {"op": "recursion", "model": "brownian", "beta": 0.25, "n": -5},
+        {"op": "scaling", "model": "brownian", "n": -3},
+        {"op": "entrance_law", "model": "brownian", "n": 0},
+        # the resolvent's exact value is that of a Bessel process
+        {"op": "resolvent", "model": "brownian"},
     ] + [{"op": "scaling", "model": "brownian", "alpha_override": a,
           "n": 100, "seeds": 3} for a in (0, -2.0, math.nan, math.inf)]},
         seed=0)
     (bad_n, bad_dt, ok, bad_f, empty_g, far_g, no_p, no_b, text_b, nan_p,
      empty_f, flat_bump, t_zero, text_beta, text_c, text_alpha, inf_z_max,
-     half_n, uneven_dx, *bad_alpha) = report["checks"]
+     half_n, uneven_dx, negative_n, negative_scaling_n, zero_n,
+     not_bessel, *bad_alpha) = report["checks"]
     assert bad_n["error"] == "ModelFileError: n: expected a number, got 'abc'"
     assert text_beta["error"] == \
         "ModelFileError: beta: expected a number, got 'q'"
@@ -282,6 +288,12 @@ def test_suite_check_field_errors_are_recorded():
     assert inf_z_max["error"] == \
         "ModelFileError: z_max: expected a finite number, got inf"
     assert half_n["error"] == "ModelFileError: n: expected an integer, got 2.5"
+    for rec, n in ((negative_n, -5), (negative_scaling_n, -3), (zero_n, 0)):
+        assert rec["error"] == \
+            f"ModelFileError: n: expected an integer >= 1, got {n}"
+    assert not_bessel["error"].startswith(
+        "ValueError: the resolvent check needs a Bessel exponent: gaussian 1, "
+        "no jumps, no killing, alpha 1/2 and -1 < drift < 0, got LevyModel(")
     assert uneven_dx["error"] == "ValueError: t_max must be a whole number " \
         "of dx steps, got dx=0.3, t_max=50.0"
     assert bad_dt["error"] == "ValueError: dt must be > 0"
@@ -315,10 +327,11 @@ def test_readme_suite_op_list_is_the_cli_op_list():
     listed = section.split("Each check has an `op`", 1)[1].split(")", 1)[0]
     ops = re.findall(r"`(\w+)`", listed)
     assert ops
-    knobs = {"model": "brownian", "n": 64, "beta": 0.25, "seeds": 1,
-             "dx": 0.1, "t_max": 50.0}
-    report = cli.run_suite({"checks": [dict(knobs, op=op) for op in ops]},
-                           seed=0)
+    knobs = {"n": 64, "beta": 0.25, "seeds": 1, "dx": 0.1, "t_max": 50.0}
+    # the resolvent's exact value is that of a Bessel process
+    report = cli.run_suite({"checks": [
+        dict(knobs, op=op, model="bessel" if op == "resolvent" else "brownian")
+        for op in ops]}, seed=0)
     for op, rec in zip(ops, report["checks"]):
         assert "error" not in rec, (op, rec["error"])
     gone = cli.run_suite({"checks": [dict(knobs, op="normalization")]},

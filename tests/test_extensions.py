@@ -11,7 +11,7 @@ from scipy import special, stats
 
 from pssmplab import catalog, cli, extensions, models
 from pssmplab.errors import ConfigRejected, NoCramerRoot
-from pssmplab.expfun import sample_I_batch
+from pssmplab.expfun import sample_J_batch
 from pssmplab.extensions import (
     ExtensionConfig,
     entrance_law_curve,
@@ -19,7 +19,7 @@ from pssmplab.extensions import (
     extension_gamma,
     make_test_function,
     occupation_histogram,
-    resolvent_crosscheck,
+    resolvent_check,
     sample_jump_in_restart,
     simulate_extension,
 )
@@ -219,7 +219,8 @@ def test_entrance_law_checks_solve_the_cramer_root_once(monkeypatch):
             monkeypatch.setattr(mod, "cramer_root", counted)
     m = catalog.brownian()
     bump = {"kind": "bump", "a": 0.5, "b": 1.5}
-    for run in (lambda: resolvent_crosscheck(m, 1.0, bump, 200, CFG),
+    for run in (lambda: resolvent_check(catalog.bessel(), 1.0, bump, 200,
+                                        CFG),
                 lambda: entrance_mass_check(m, 1.0, 200, CFG),
                 lambda: cli.run_suite({"checks": [
                     {"op": "entrance_law", "model": "brownian", "n": 200}]},
@@ -244,87 +245,66 @@ def test_entrance_law_power_theta_is_t_constant():
         assert (v.max() - v.min()) / abs(v.mean()) < 1e-9
 
 
-def test_resolvent_crosscheck_small():
-    rep = resolvent_crosscheck(catalog.brownian(), 1.0,
-                               {"kind": "bump", "a": 0.5, "b": 1.5},
-                               20000, CFG)
-    assert rep.z_score < 5.0
-    assert rep.lhs > 0 and rep.rhs > 0
+@pytest.mark.parametrize("delta", [0.5, 1.5])
+def test_resolvent_check_against_the_bessel_value(delta):
+    # criterion 11 runs delta = 1 with a bump; here the indicator of
+    # [0.5, 1.5) at the other two dimensions
+    rep = resolvent_check(catalog.bessel(delta), 1.0,
+                          {"kind": "indicator", "a": 0.5, "b": 1.5}, 20000,
+                          CFG)
+    assert rep.n == 20000 and rep.censored == 0
+    assert rep.z_score < 4.0
 
 
-def test_resolvent_lhs_is_the_entrance_law_time_quadrature():
-    # the per-draw lhs is the trapezoid, from 0 at u = 0, of the public
-    # entrance-law curve times e^{-lam t} t^{at}/(1 - at) over the u-nodes,
-    # on the same J batch and normalizer streams
-    lam, bump = 1.0, {"kind": "bump", "a": 0.5, "b": 1.5}
-    for model in (catalog.brownian(),
-                  LevyModel(drift=-0.5, gaussian=1.0, killing=0.125,
-                            alpha=0.5)):
-        at = cramer_root(model).alpha_theta
-        p = 1.0 - at
-        u = np.linspace(0.0, (extensions._E_FOLDS / lam) ** p,
-                        extensions._RESOLVENT_T_NODES + 1)
-        t = u[1:] ** (1.0 / p)
-        curve = entrance_law_curve(model, t, bump, 500, CFG)
-        g = curve.values * np.exp(-lam * t) * t ** at / p
-        expected = np.trapezoid(np.concatenate(([0.0], g)), u)
-        lhs = resolvent_crosscheck(model, lam, bump, 500, CFG).lhs
-        assert lhs == pytest.approx(expected, rel=1e-12)
-
-
-def test_resolvent_crosscheck_conservative_drifting_brownian():
-    # killing 0: the dual normalizer's exponent sits on the boundary
-    # psi_dual(theta) = -psi(theta) = 0, which the bisected root meets
-    # only to rounding, of either sign; the check must not depend on it
-    model = LevyModel(drift=-0.5, gaussian=1.0, killing=0.0, alpha=0.5)
-    rep = resolvent_crosscheck(model, 1.0,
-                               {"kind": "bump", "a": 0.5, "b": 1.5}, 2000, CFG)
-    assert rep.lhs > 0 and rep.rhs > 0
-    assert rep.z_score < 5.0
-
-
-def test_time_quadrature_nodes_that_underflow_to_zero_are_an_error(
+def test_a_root_at_the_extension_boundary_is_refused_before_sampling(
         monkeypatch):
-    # theta = 1 exactly, so alpha*theta = 1 and there is no continuous
-    # extension; the bisected root is 1 - 1.1e-13, within ROOT_TOL of the
-    # boundary, and both checks refuse it before anything is sampled (the
-    # u-grid's t = u^{1/(1-at)} would underflow to 0)
+    # theta = 1 exactly on the first model and theta = 2 - 2e-14 on the
+    # Bessel exponent, so alpha*theta is 1 or within ROOT_TOL of it and
+    # there is no continuous extension; both checks refuse the bisected
+    # root before anything is sampled
     model = LevyModel(drift=-0.5, gaussian=1.0, killing=0.0, alpha=1.0)
-    assert not cramer_root(model).continuous_extension_exists
+    near_bessel = LevyModel(drift=-1.0 + 1e-14, gaussian=1.0, killing=0.0,
+                            alpha=0.5)
+    for m in (model, near_bessel):
+        assert not cramer_root(m).continuous_extension_exists
 
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the existence check")
 
     monkeypatch.setattr(extensions, "sample_J_batch", no_sampling)
-    monkeypatch.setattr(extensions, "sample_I_batch", no_sampling)
     bump = {"kind": "bump", "a": 0.5, "b": 1.5}
     with pytest.raises(NoCramerRoot):
-        resolvent_crosscheck(model, 1.0, bump, 200, CFG)
+        resolvent_check(near_bessel, 1.0, bump, 200, CFG)
     with pytest.raises(NoCramerRoot):
         entrance_mass_check(model, 1.0, 200, CFG)
 
 
 @pytest.mark.parametrize("lam, a, b", [(1.0, 0.5, 1.5), (2.0, 0.5, 1.5),
                                        (1.0, 0.5, 9000.0)])
-def test_resolvent_rhs_is_the_exact_x_integral(lam, a, b):
-    # brownian has alpha = 1, so alpha*theta = theta and, per dual-I draw
-    # with c = lam I, the rhs's x-integral of the indicator of [a, b) is
-    # int_a^b x^{-theta} e^{-c x} dx / Gamma(1 - theta)
-    #     = c^{theta-1} [P(1-theta, c b) - P(1-theta, c a)]
-    # over the normalizer E_dual(I^{theta-1}), on the check's own streams
-    model = catalog.brownian()
-    assert model.alpha == 1.0
-    theta = cramer_root(model).theta
-    hat = models.dual(models.esscher(model, theta))
-    iv, ic = sample_I_batch(hat, 2000, CFG.substream(2))
-    iv2, ic2 = sample_I_batch(hat, 2000, CFG.substream(3))
-    c, s = lam * iv[~ic], 1.0 - theta
-    r = c ** -s * (special.gammainc(s, c * b) - special.gammainc(s, c * a))
-    expected = r.mean() / (iv2[~ic2] ** (theta - 1.0)).mean()
-    rep = resolvent_crosscheck(model, lam,
-                               {"kind": "indicator", "a": a, "b": b}, 2000,
-                               CFG)
-    assert rep.rhs == pytest.approx(expected, rel=1e-12)
+def test_resolvent_lhs_is_the_exact_x_integral(lam, a, b):
+    # bessel has alpha = 1/2 and theta = 2 at, so per tilted J draw with
+    # c = lam J, the lhs's x-integral of the indicator of [a, b) is
+    # int_a^b x^{1-theta} e^{-c x^2} dx / (Gamma(1 - at) / 2)
+    #     = c^{at-1} [P(1-at, c b^2) - P(1-at, c a^2)]
+    # over the normalizer E(J^{at-1}), on the check's own streams
+    model = catalog.bessel(1.0)
+    assert model.alpha == 0.5
+    root = cramer_root(model)
+    at, tilted = root.alpha_theta, models.esscher(model, root.theta)
+    jv, jc = sample_J_batch(tilted, 2000, CFG)
+    jv2, jc2 = sample_J_batch(tilted, 2000, CFG.substream(1))
+    c, s = lam * jv[~jc], 1.0 - at
+    r = c ** -s * (special.gammainc(s, c * b * b)
+                   - special.gammainc(s, c * a * a))
+    expected = r.mean() / (jv2[~jc2] ** (at - 1.0)).mean()
+    rep = resolvent_check(model, lam, {"kind": "indicator", "a": a, "b": b},
+                          2000, CFG)
+    assert rep.lhs == pytest.approx(expected, rel=1e-12)
+    # at delta = 1, K_{1/2} is elementary and the exact value is
+    # sqrt(2) int_a^b e^{-y sqrt(2 lam)} dy
+    k = math.sqrt(2.0 * lam)
+    assert rep.rhs == pytest.approx(
+        (math.exp(-k * a) - math.exp(-k * b)) / math.sqrt(lam), rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", [
@@ -340,10 +320,43 @@ def test_resolvent_crosscheck_refuses_f_without_support_in_0_inf(
         raise AssertionError("sampled before the support check")
 
     monkeypatch.setattr(extensions, "sample_J_batch", no_sampling)
-    monkeypatch.setattr(extensions, "sample_I_batch", no_sampling)
     with pytest.raises(ValueError, match=r"the resolvent needs an indicator "
                                          r"or bump f on \[a, b\] with 0 < a"):
-        resolvent_crosscheck(catalog.brownian(), 1.0, spec, 5000, CFG)
+        resolvent_check(catalog.bessel(), 1.0, spec, 5000, CFG)
+
+
+@pytest.mark.parametrize("model", [
+    catalog.brownian(), catalog.two_sided(), catalog.pure_drift(0.5),
+    LevyModel(drift=-0.5, gaussian=2.0, alpha=0.5),
+    LevyModel(drift=-0.5, gaussian=1.0, killing=0.125, alpha=0.5),
+    LevyModel(drift=-1.0, gaussian=1.0, alpha=0.5),
+    LevyModel(drift=0.0, gaussian=1.0, alpha=0.5)],
+    ids=["brownian", "two_sided", "pure_drift", "gaussian_2", "killed",
+         "drift_-1", "drift_0"])
+def test_resolvent_check_refuses_a_non_bessel_exponent(model, monkeypatch):
+    # the exact value is that of a Bessel process, so any other exponent
+    # is refused before its Cramer root is solved or anything is sampled
+    def not_reached(*args, **kwargs):
+        raise AssertionError("solved or sampled before the model check")
+
+    monkeypatch.setattr(extensions, "sample_J_batch", not_reached)
+    monkeypatch.setattr(extensions, "cramer_root", not_reached)
+    with pytest.raises(ValueError, match="the resolvent check needs a "
+                                         "Bessel exponent"):
+        resolvent_check(model, 1.0, {"kind": "bump", "a": 0.5, "b": 1.5},
+                        100, CFG)
+
+
+def test_catalog_bessel():
+    # mu = 1 - delta/2, theta = 2 mu and alpha*theta = mu
+    for delta in (0.5, 1.0, 1.5):
+        m = catalog.bessel(delta)
+        assert m.drift == delta / 2.0 - 1.0 and m.alpha == 0.5
+        assert cramer_root(m).alpha_theta == pytest.approx(1.0 - delta / 2,
+                                                           abs=1e-12)
+    for bad in (0.0, 2.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 2\)"):
+            catalog.bessel(bad)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
@@ -353,10 +366,9 @@ def test_out_of_domain_lambda_and_t_are_rejected_before_sampling(
         raise AssertionError("sampled before the domain check")
 
     monkeypatch.setattr(extensions, "sample_J_batch", no_sampling)
-    monkeypatch.setattr(extensions, "sample_I_batch", no_sampling)
     bump = {"kind": "bump", "a": 0.5, "b": 1.5}
     with pytest.raises(ValueError, match="lambda must be finite and > 0"):
-        resolvent_crosscheck(catalog.brownian(), bad, bump, 100, CFG)
+        resolvent_check(catalog.bessel(), bad, bump, 100, CFG)
     with pytest.raises(ValueError, match="t must be finite and > 0"):
         entrance_law_curve(catalog.brownian(), np.array([1.0, bad]),
                            {"kind": "one"}, 100, CFG)

@@ -141,6 +141,12 @@ _FIRST_USE = {
         "from pssmplab.verify import ks_two_sample\n"
         "value = ks_two_sample(np.linspace(0.0, 1.0, 30), "
         "np.linspace(0.2, 1.3, 25)).to_json()"),
+    "resolvent_check": (
+        "from pssmplab import catalog\n"
+        "from pssmplab.extensions import resolvent_check\n"
+        "from pssmplab.paths import SimConfig\n"
+        "value = resolvent_check(catalog.bessel(), 1.0, {'kind': 'bump', "
+        "'a': 0.5, 'b': 1.5}, 64, SimConfig(seed=0)).to_json()"),
 }
 
 
@@ -154,9 +160,10 @@ def test_first_use_of_scipy_gives_the_same_value(case):
 
 
 def test_concurrent_first_use_in_suite_is_reproducible():
-    # the scaling op imports scipy.stats (and with it scipy.special) on a
-    # pool thread while the other ops run; the report must equal the
-    # one-thread report byte for byte
+    # the scaling op imports scipy.stats and the resolvent op right after
+    # it scipy.special, each at first use on its own pool thread while the
+    # other ops run; the report must equal the one-thread report byte for
+    # byte
     code = (
         "import json, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -164,9 +171,14 @@ def test_concurrent_first_use_in_suite_is_reproducible():
         "from pssmplab import cli\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "suite = _suite(SIZES['smoke']['suite_scale'])\n"
+        "ops = [c['op'] for c in suite['checks']]\n"
+        "suite['checks'].insert(ops.index('scaling') + 1, {'op': "
+        "'resolvent', 'model': 'bessel', 'n': 400})\n"
         "value = [json.dumps(cli.run_suite(suite, 0, threads=t), indent=2)\n"
         "         for t in (2, 1)]")
     res = _fresh(code, str(ROOT / "perfbench"))
     two, one = res["value"]
     assert two == one
+    (rec,) = [c for c in json.loads(one)["checks"] if c["op"] == "resolvent"]
+    assert "error" not in rec
     assert "scipy.stats" in res["scipy"] and "scipy.special" in res["scipy"]
