@@ -237,7 +237,7 @@ def simulate(model: LevyModel, kind: str, args, out_path: str) -> List[str]:
 
 
 def _build_parser():
-    """The top-level parser and its simulate subparser."""
+    """The top-level parser and its simulate and verify subparsers."""
     parser = argparse.ArgumentParser(
         prog="pssmplab",
         description="simulation lab for positive self-similar Markov "
@@ -270,11 +270,11 @@ def _build_parser():
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--threads", type=int, default=1)
     pv.add_argument("--out")
-    return parser, ps
+    return parser, ps, pv
 
 
 def main(argv=None) -> int:
-    parser, sim_parser = _build_parser()
+    parser, sim_parser, verify_parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "analyze":
@@ -298,7 +298,12 @@ def main(argv=None) -> int:
             with open(args.out + ".manifest.json", "w") as fh:
                 json.dump(manifest, fh, indent=2)
             return 0
-        # verify
+        # verify; a seed that is no Philox key word is rejected before any
+        # check runs
+        try:
+            SimConfig(seed=args.seed)
+        except ValueError as exc:
+            verify_parser.error(str(exc))
         suite = (default_suite() if args.default
                  else models._read_json(args.suite))
         report = run_suite(suite, args.seed, args.threads)

@@ -211,6 +211,7 @@ def occupation_histogram(paths, bins: np.ndarray):
         raise ValueError(f"bins must be at least two finite, strictly "
                          f"increasing edges, got {bins.tolist()!r}")
     nb = bins.size - 1
+    lo, hi, inner = bins[0], bins[-1], bins[1:-1]
     counts = np.zeros(nb)
     total = 0.0
     # one path at a time: all paths at once would hold every path's
@@ -218,11 +219,12 @@ def occupation_histogram(paths, bins: np.ndarray):
     for p in paths:
         w = p.times[1:] - p.times[:-1]
         v = p.values[:-1]
-        # slot i + 1 is bin i; 0 is below the range and nb + 1 above it
-        slot = np.searchsorted(bins, v, side="right")
-        slot[v == bins[-1]] = nb
-        counts += np.bincount(slot, weights=w, minlength=nb + 2)[1:nb + 1]
         total += w.sum()
+        # only values in [lo, hi] are binned (NaN is not); the count of
+        # inner edges at or below such a value is its bin, hi in the last
+        keep = (v >= lo) & (v <= hi)
+        slot = np.searchsorted(inner, v[keep], side="right")
+        counts += np.bincount(slot, weights=w[keep], minlength=nb)
     if not total > 0:
         raise ValueError("paths have zero total duration")
     density = counts / (total * np.diff(bins))

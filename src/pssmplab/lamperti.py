@@ -70,18 +70,25 @@ def _check_positive(name: str, v: float) -> None:
 
 def segment_exp_integral(x0, inc, gap, inv_alpha):
     """Exact integral of e^{xi/alpha} over linear segments of xi: from x0,
-    rising by inc over gap."""
-    u = inv_alpha * np.asarray(x0, dtype=float)
-    d = inv_alpha * np.asarray(inc, dtype=float)
-    # (e^d - 1)/d, with its limit 1 at d = 0
-    phi = np.divide(np.expm1(d), d, out=np.ones_like(d), where=d != 0.0)
-    return gap * np.exp(u) * phi
+    rising by inc over gap.  x0 and inc are arrays of one shape; the
+    result is a new array of that shape."""
+    out = np.multiply(inv_alpha, x0, dtype=float)
+    np.exp(out, out=out)
+    out *= gap
+    d = np.multiply(inv_alpha, inc, dtype=float)
+    # (e^d - 1)/d, with its limit 1 at d = 0 taken as 1/1
+    phi = np.expm1(d)
+    zero = d == 0.0
+    phi[zero] = d[zero] = 1.0
+    phi /= d
+    out *= phi
+    return out
 
 
 def _clock_increments(path: LevyPath, alpha: float) -> np.ndarray:
     start = path.values[:-1]
     gaps = path.times[1:] - path.times[:-1]
-    return segment_exp_integral(start, path.left_limits()[1:] - start, gaps,
+    return segment_exp_integral(start, path.left[1:] - start, gaps,
                                 1.0 / alpha)
 
 
@@ -91,17 +98,20 @@ def levy_to_pssmp(path: LevyPath, x0: float, alpha: float,
     _check_positive("x0", x0)
     _check_positive("alpha", alpha)
     segs = _clock_increments(path, alpha)
-    clock = np.concatenate(([0.0], np.cumsum(segs)))
-    scale = x0 ** (1.0 / alpha)
-    times = scale * clock
-    values = x0 * np.exp(path.values)
+    times = np.empty(segs.size + 1)
+    times[0] = 0.0
+    segs.cumsum(out=times[1:])
+    clock_end = times[-1]
+    times *= x0 ** (1.0 / alpha)
+    values = np.exp(path.values)
+    values *= x0
 
     if path.zeta is not None:
         return PssmpPath(times=times, values=values, t0=float(times[-1]),
                          x0=x0, alpha=alpha)
     # conservative path: the clock converges iff the tail window is negligible
     tail = segs[path.times[1:] > path.times[-1] - _TAIL_WINDOW].sum()
-    if tail < REL_TOL * clock[-1]:
+    if tail < REL_TOL * clock_end:
         return PssmpPath(times=times, values=values, t0=float(times[-1]),
                          x0=x0, alpha=alpha)
     if allow_truncated:
@@ -136,7 +146,7 @@ def pssmp_to_levy(path: PssmpPath) -> LevyPath:
     ds = du / segment_exp_integral(a, b - a, 1.0, inv_alpha)
     s = np.concatenate(([0.0], np.cumsum(ds)))
     zeta = float(s[-1]) if path.t0 is not None else None
-    return LevyPath(times=s, values=xi, pre_jump=np.full(s.size, np.nan),
+    return LevyPath(times=s, values=xi, left=xi,
                     zeta=zeta, truncated=path.t0 is None)
 
 

@@ -23,12 +23,21 @@ __all__ = ["SimConfig", "LevyPath", "stream_rng", "sample_levy_path",
            "sample_increment_batch"]
 
 
+def _key_word(name: str, value) -> int:
+    """``value`` as one 64-bit word of the Philox key: an int (Python or
+    numpy, not bool) in [0, 2**64); anything else would alias another
+    stream or fail later."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not 0 <= int(value) < 2 ** 64:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), "
+                         f"got {value!r}")
+    return int(value)
+
+
 def stream_rng(seed: int, stream_id: int) -> np.random.Generator:
     """Independent generator for one worker stream (counter-based split)."""
-    if stream_id < 0:
-        raise ValueError("stream_id must be >= 0")
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream_id)],
-                   dtype=np.uint64)
+    key = np.array([_key_word("seed", seed),
+                    _key_word("stream_id", stream_id)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -48,6 +57,9 @@ class SimConfig:
             raise ValueError("dt must be > 0")
         if self.dt > self.horizon:
             raise ValueError("dt must not exceed horizon")
+        for name in ("seed", "stream_id"):
+            word = _key_word(name, getattr(self, name))
+            object.__setattr__(self, name, word)
 
     def rng(self) -> np.random.Generator:
         return stream_rng(self.seed, self.stream_id)
@@ -59,18 +71,15 @@ class SimConfig:
 @dataclass
 class LevyPath:
     """Discretized path of xi.  ``values`` holds the post-jump value at each
-    time; where ``pre_jump`` is not NaN the left limit at that time differs
-    (a jump landed there) and segments interpolate to the left limit."""
+    time and ``left`` the left limit xi_{t-}, to which the segment ending
+    there interpolates; the two differ only where a jump landed.  On a path
+    without jumps ``left`` is the ``values`` array itself, not a copy."""
 
     times: np.ndarray
     values: np.ndarray
-    pre_jump: np.ndarray
+    left: np.ndarray
     zeta: Optional[float]
     truncated: bool
-
-    def left_limits(self) -> np.ndarray:
-        """Value of xi just before each grid time."""
-        return np.where(np.isnan(self.pre_jump), self.values, self.pre_jump)
 
     def to_json_record(self) -> str:
         return json.dumps({
@@ -150,19 +159,29 @@ def sample_levy_path(model: LevyModel, config: SimConfig,
         times = grid
 
     gaps = times[1:] - times[:-1]  # np.diff, without its call overhead
-    incs = model.drift * gaps
+    # drift * gaps + sqrt(gaussian) * sqrt(gaps) * normals, in place
     if model.gaussian > 0:
-        incs = incs + math.sqrt(model.gaussian) * np.sqrt(gaps) * \
-            rng.standard_normal(gaps.size)
-    pre_jump = np.full(times.size, np.nan)
-    if jt.size:
-        left = np.concatenate(([0.0], np.cumsum(incs + sizes[1:]) - sizes[1:]))
-        values = left + sizes
-        pre_jump[is_jump] = left[is_jump]
+        incs = np.sqrt(gaps)
+        incs *= math.sqrt(model.gaussian)
+        incs *= rng.standard_normal(gaps.size)
+        gaps *= model.drift
+        incs += gaps
     else:
-        values = np.concatenate(([0.0], np.cumsum(incs)))
+        incs = gaps
+        incs *= model.drift
+    left = np.empty(times.size)
+    left[0] = 0.0
+    if jt.size:
+        incs += sizes[1:]
+        incs.cumsum(out=left[1:])
+        left[1:] -= sizes[1:]  # the running sum less the jump landing there
+        values = left + sizes
+        left = np.where(is_jump, left, values)
+    else:
+        incs.cumsum(out=left[1:])
+        values = left
 
-    return LevyPath(times=times, values=values, pre_jump=pre_jump,
+    return LevyPath(times=times, values=values, left=left,
                     zeta=zeta if killed else None, truncated=truncated)
 
 

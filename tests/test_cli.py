@@ -131,9 +131,11 @@ def test_simulate_extension_flag_requirements(brownian_file, tmp_path):
                                "--beta", "nan"]),
     ("pure_drift", "levy", ["--horizon", "inf"]),
     ("pure_drift", "pssmp", ["--horizon", "inf"]),
+    ("brownian", "levy", ["--seed", str(2 ** 64)]),
+    ("brownian", "pssmp", ["--seed", "-1"]),
 ], ids=["dt_zero", "dt_nan", "no_samples", "x0_zero", "epsilon_negative",
         "beta_nan", "levy_horizon_inf_conservative",
-        "pssmp_horizon_inf_conservative"])
+        "pssmp_horizon_inf_conservative", "seed_2_64", "seed_negative"])
 def test_simulate_rejects_invalid_flags(brownian_file, pure_drift_file,
                                         tmp_path, capsys, model, kind, flags):
     files = {"brownian": brownian_file, "pure_drift": pure_drift_file}
@@ -204,6 +206,32 @@ def test_verify_entrance_law_record(tmp_path):
     assert rec["rhs"] == pytest.approx(1.0 / math.gamma(0.5), rel=1e-9)
     assert rec["n"] == 500 and rec["censored"] == 0
     assert math.isfinite(rec["z"])
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
+def test_verify_rejects_a_seed_outside_the_key_before_any_check(
+        seed, tmp_path, capsys, monkeypatch):
+    def no_check(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "_run_check", no_check)
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--default", "--seed", seed, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pssmplab verify ")
+    assert f"error: seed must be an integer in [0, 2**64), got {seed}" in err
+    assert not out.exists()
+
+
+def test_run_suite_records_a_seed_outside_the_key():
+    # 2**64 once drew the stream of seed 0
+    suite = {"checks": [{"op": "renewal", "gamma": 0.75}]}
+    check = cli.run_suite(suite, 2 ** 64)["checks"][0]
+    assert check["pass"] is False
+    assert check["error"] == ("ValueError: seed must be an integer in "
+                              "[0, 2**64), got 18446744073709551616")
 
 
 def test_verify_records_errors_and_exits_nonzero(tmp_path):

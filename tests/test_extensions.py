@@ -23,9 +23,9 @@ from pssmplab.extensions import (
     sample_jump_in_restart,
     simulate_extension,
 )
-from pssmplab.lamperti import PssmpPath
+from pssmplab.lamperti import PssmpPath, levy_to_pssmp
 from pssmplab.models import CRITICAL_TOL, LevyModel, cramer_root
-from pssmplab.paths import SimConfig, stream_rng
+from pssmplab.paths import SimConfig, sample_levy_path, stream_rng
 
 CFG = SimConfig(dt=0.01, horizon=400.0, seed=0)
 
@@ -147,21 +147,26 @@ def test_occupation_histogram_synthetic():
     assert np.sum(density * np.diff(bins)) == pytest.approx(1.0)
 
 
-def test_occupation_histogram_edges_match_np_histogram():
+def _edge_paths(extra=()):
     # values on interior edges (counted in the bin to their right), on the
     # last edge (counted in the last bin) and outside the range (dropped);
     # the appended last value of each path carries no duration
-    bins = np.array([0.1, 0.2, 0.4, 0.8, 1.6])
     rng = np.random.default_rng(4)
     paths = []
     for k in range(5):
         v = rng.permutation(np.concatenate(
-            ([0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0],
+            ([0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0], extra,
              rng.uniform(0.0, 2.0, 20 + k))))
         v = np.append(v, 0.5)
         t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 1.0, v.size - 1))))
         paths.append(PssmpPath(times=t, values=v, t0=None, x0=v[0],
                                alpha=1.0, truncated=True))
+    return paths
+
+
+def test_occupation_histogram_edges_match_np_histogram():
+    bins = np.array([0.1, 0.2, 0.4, 0.8, 1.6])
+    paths = _edge_paths()
     counts = np.zeros(bins.size - 1)
     total = 0.0
     for p in paths:
@@ -172,6 +177,52 @@ def test_occupation_histogram_edges_match_np_histogram():
     np.testing.assert_allclose(density, counts / (total * np.diff(bins)),
                                rtol=1e-12)
     np.testing.assert_allclose(centers, 0.5 * (bins[:-1] + bins[1:]))
+
+
+def _reference_occupation_histogram(paths, bins):
+    # every value of a path binned by searchsorted over all edges, and
+    # bincount over the slots below, in and above the range
+    nb = bins.size - 1
+    counts = np.zeros(nb)
+    total = 0.0
+    for p in paths:
+        w = p.times[1:] - p.times[:-1]
+        v = p.values[:-1]
+        slot = np.searchsorted(bins, v, side="right")
+        slot[v == bins[-1]] = nb
+        counts += np.bincount(slot, weights=w, minlength=nb + 2)[1:nb + 1]
+        total += w.sum()
+    return 0.5 * (bins[:-1] + bins[1:]), counts / (total * np.diff(bins))
+
+
+def _mapped_brownian_excursions(count):
+    # criterion 8's excursions, from epsilon = 0.01
+    model = catalog.brownian()
+    rng = CFG.rng()
+    for _ in range(count):
+        path = sample_levy_path(model, CFG, rng=rng)
+        yield levy_to_pssmp(path, 0.01, model.alpha, allow_truncated=True)
+
+
+@pytest.mark.parametrize("case", ["brownian excursions", "edge values",
+                                  "extension path"])
+def test_occupation_histogram_matches_per_path_binning_bit_for_bit(case):
+    if case == "brownian excursions":
+        bins = np.geomspace(0.1, 1.0, 13)
+        paths = list(_mapped_brownian_excursions(200))
+    elif case == "edge values":
+        bins = np.array([0.1, 0.2, 0.4, 0.8, 1.6])
+        paths = _edge_paths([math.nan, math.inf, -math.inf, 0.1, 0.1, 1.6,
+                             1.6])
+    else:
+        bins = np.geomspace(0.01, 1.0, 9)
+        cfg = ExtensionConfig(mode="continuous", epsilon=0.01, horizon=10.0)
+        paths = [simulate_extension(catalog.brownian(), cfg, CFG)]
+    centers, density = occupation_histogram(paths, bins)
+    ref_centers, ref_density = _reference_occupation_histogram(paths, bins)
+    assert np.array_equal(centers, ref_centers)
+    assert np.array_equal(density, ref_density)
+    assert (density > 0).all()
 
 
 def test_occupation_histogram_rejects_zero_duration():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pssmplab import catalog
+from pssmplab.engine import REL_TOL
 from pssmplab.errors import HorizonTooShort, ModelDoesNotHitZero, StartsAtZero
 from pssmplab.lamperti import (
     PssmpPath,
@@ -149,8 +150,8 @@ def test_pssmp_path_json_record():
 
 # ---------------------------------------------------------------------------
 # bit-identity of the sampler and the map with a straightforward reference:
-# a sorted unique grid, a stable full sort of grid and jump epochs, masked
-# left limits and a masked (e^d - 1)/d
+# a sorted unique grid, a stable full sort of grid and jump epochs, left
+# limits by a masked copy, a masked (e^d - 1)/d and the tail-window rule
 
 
 def _reference_sample_levy_path(model, config, rng):
@@ -190,18 +191,16 @@ def _reference_sample_levy_path(model, config, rng):
     if model.gaussian > 0:
         incs = incs + math.sqrt(model.gaussian) * np.sqrt(gaps) * \
             rng.standard_normal(gaps.size)
-    left = np.concatenate(([0.0], np.cumsum(incs + sizes[1:]) - sizes[1:]))
-    values = left + sizes
-    pre_jump = np.full(times.size, np.nan)
-    pre_jump[is_jump] = left[is_jump]
-    return LevyPath(times=times, values=values, pre_jump=pre_jump,
+    pre = np.concatenate(([0.0], np.cumsum(incs + sizes[1:]) - sizes[1:]))
+    values = pre + sizes
+    left = values.copy()
+    left[is_jump] = pre[is_jump]
+    return LevyPath(times=times, values=values, left=left,
                     zeta=zeta if killed else None, truncated=not killed)
 
 
 def _reference_clock_increments(path, alpha):
-    left = path.values.copy()
-    mask = ~np.isnan(path.pre_jump)
-    left[mask] = path.pre_jump[mask]
+    left = path.left
     x0 = path.values[:-1]
     u = (1.0 / alpha) * x0
     d = (1.0 / alpha) * (left[1:] - x0)
@@ -226,6 +225,10 @@ def _mixed_model():
     ("pure_drift convergent", catalog.pure_drift(), 40.0),
     ("brownian + Exp(2) jumps", _mixed_model(), 400.0),
     ("boundary_root", catalog.boundary_root(1.0, 0.75, 0.01), 400.0),
+    ("bessel", catalog.bessel(1.0), 400.0),
+    # the tail window's share of the clock is 1.1e-7: below REL_TOL, but
+    # not below REL_TOL * 0.01, so the cut must read the unscaled clock
+    ("pure_drift at the tail cut", catalog.pure_drift(), 20.0),
 ])
 def test_sampler_and_map_match_reference_bit_for_bit(name, model, horizon):
     cfg = SimConfig(dt=0.01, horizon=horizon, seed=11)
@@ -235,16 +238,22 @@ def test_sampler_and_map_match_reference_bit_for_bit(name, model, horizon):
         r = _reference_sample_levy_path(model, cfg, ref_rng)
         assert np.array_equal(p.times, r.times)
         assert np.array_equal(p.values, r.values)
-        assert np.array_equal(p.pre_jump, r.pre_jump, equal_nan=True)
+        assert np.array_equal(p.left, r.left)
+        if not model.jumps:
+            assert p.left is p.values
         assert p.zeta == r.zeta and p.truncated == r.truncated
-        ps = levy_to_pssmp(p, 2.0, model.alpha, allow_truncated=True)
-        clock = np.concatenate(
-            ([0.0], np.cumsum(_reference_clock_increments(r, model.alpha))))
-        scale = 2.0 ** (1.0 / model.alpha)
-        assert np.array_equal(ps.times, scale * clock)
-        assert np.array_equal(ps.values, 2.0 * np.exp(r.values))
-        if r.zeta is not None:
-            assert ps.t0 == scale * clock[-1]
+        segs = _reference_clock_increments(r, model.alpha)
+        clock = np.concatenate(([0.0], np.cumsum(segs)))
+        tail = segs[r.times[1:] > r.times[-1] - 4.0].sum()
+        ends = r.zeta is not None or tail < REL_TOL * clock[-1]
+        # 0.01 is criterion 8's epsilon
+        for x0 in (2.0, 0.01):
+            ps = levy_to_pssmp(p, x0, model.alpha, allow_truncated=True)
+            scale = x0 ** (1.0 / model.alpha)
+            assert np.array_equal(ps.times, scale * clock)
+            assert np.array_equal(ps.values, x0 * np.exp(r.values))
+            assert ps.t0 == (scale * clock[-1] if ends else None)
+            assert ps.truncated == (not ends)
     # both streams are at the same place
     assert rng.random() == ref_rng.random()
 

@@ -51,15 +51,18 @@ def test_path_structure_conservative():
 def test_jump_times_carry_left_limits():
     cfg = SimConfig(dt=0.01, horizon=400.0, seed=2)
     p = sample_levy_path(catalog.two_sided(), cfg)
-    at_jump = ~np.isnan(p.pre_jump)
-    assert at_jump.any()
-    left = p.left_limits()
-    # at a jump the recorded value differs from the left limit by the size
-    assert (np.abs(p.values[at_jump] - left[at_jump]) > 0).all()
+    at_jump = p.left != p.values
+    assert at_jump.any() and not at_jump[0]
+    # jumps land at their own epochs, off the dt grid
+    k = p.times[at_jump] / cfg.dt
+    assert (k != np.round(k)).all()
     # between recorded points the drift is exactly -1 (no Gaussian part)
     gaps = np.diff(p.times)
-    incs = left[1:] - p.values[:-1]
+    incs = p.left[1:] - p.values[:-1]
     np.testing.assert_allclose(incs, -gaps, atol=1e-12)
+    # without jumps the left limits are the values array itself
+    q = sample_levy_path(catalog.brownian(), cfg)
+    assert q.left is q.values
 
 
 def test_increment_batch_drift_only_is_exact():
@@ -117,6 +120,30 @@ def test_config_validation():
     for t in (math.nan, -1.0):
         with pytest.raises(ValueError, match="t must be finite and >= 0"):
             sample_increment_batch(catalog.brownian(), t, 5, SimConfig())
+
+
+@pytest.mark.parametrize("field", ["seed", "stream_id"])
+@pytest.mark.parametrize("value", [2 ** 64, -1, 1.0, "1", None, True,
+                                   np.bool_(False), np.float64(3.0)])
+def test_seed_and_stream_id_must_be_key_words(field, value):
+    # 2**64 and -1 would alias the streams of 0 and 2**64 - 1
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer in "
+                                         r"\[0, 2\*\*64\), got "):
+        SimConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        stream_rng(**{"seed": 0, "stream_id": 0, field: value})
+
+
+def test_numpy_int_seeds_are_the_python_int_streams():
+    top = 2 ** 64 - 1
+    cfg = SimConfig(seed=np.uint64(top), stream_id=np.int64(3))
+    assert type(cfg.seed) is int and type(cfg.stream_id) is int
+    assert cfg == SimConfig(seed=top, stream_id=3)
+    assert cfg.rng().random(4).tolist() == \
+        SimConfig(seed=top, stream_id=3).rng().random(4).tolist()
+    assert SimConfig(seed=top).rng().random() != SimConfig().rng().random()
+    with pytest.raises(ValueError, match="stream_id"):
+        SimConfig(stream_id=top).substream(1)
 
 
 def test_substream_offsets_stream_id():
