@@ -41,16 +41,47 @@ class KsReport:
                 "n1": self.n1, "n2": self.n2}
 
 
+def _smirnov_sf(n: int, d: float) -> float:
+    """Exact one-sided tail P(D_n^+ >= d) of Birnbaum & Tingey (1951):
+    d * sum_{j <= n(1-d)} C(n, j) (1 - d - j/n)^{n-j} (d + j/n)^{j-1},
+    summed in log space. Terms with d + j/n >= 1 are zero."""
+    if d <= 0.0:
+        return 1.0
+    j = np.arange(math.floor(n * (1.0 - d)) + 1)
+    x = d + j / n
+    j, x = j[x < 1.0], x[x < 1.0]
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    log_terms = (log_fact[n] - log_fact[j] - log_fact[n - j]
+                 + (n - j) * np.log1p(-x) + (j - 1) * np.log(x) + math.log(d))
+    return float(np.exp(log_terms).sum())
+
+
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> KsReport:
-    """Two-sample Kolmogorov-Smirnov test with asymptotic p-value."""
+    """Two-sample Kolmogorov-Smirnov test.
+
+    The statistic is scipy's ``ks_2samp`` statistic, bit for bit. The
+    p-value is min(1, 2 S_n(D)), with S_n the exact one-sided tail of
+    ``_smirnov_sf`` and n = n1 n2 / (n1 + n2) rounded half to even. This is
+    scipy's ``method="asymp"`` p-value, 2 smirnov(n, D), wherever n > 140
+    and n D^2 >= 2.2, that is for p below about 0.024. Below p = 0.08 it is
+    within 1e-4 of scipy's relative; above, it is an upper bound of the
+    exact two-sided tail of D_n and up to 0.12 above scipy's value.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size < 20 or b.size < 20:
         raise TooFewSamples("KS test needs at least 20 samples per side")
-    from scipy import stats
-    res = stats.ks_2samp(a, b, method="asymp")
-    return KsReport(statistic=float(res.statistic),
-                    p_value=float(res.pvalue), n1=a.size, n2=b.size)
+    for name, v in (("a", a), ("b", b)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got "
+                             f"{float(v[~np.isfinite(v)][0])}")
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    d = float(np.abs(np.searchsorted(a, both, side="right") / a.size
+                     - np.searchsorted(b, both, side="right") / b.size).max())
+    n = round(a.size * b.size / (a.size + b.size))  # half to even
+    return KsReport(statistic=d, p_value=min(1.0, 2.0 * _smirnov_sf(n, d)),
+                    n1=a.size, n2=b.size)
 
 
 def scaling_test(model: LevyModel, x: float, c: float, t: float, n: int,

@@ -113,6 +113,19 @@ _NO_SCIPY = {
         "from pssmplab.paths import SimConfig\n"
         "value = entrance_mass_check(catalog.brownian(), 1.0, 64, "
         "SimConfig(seed=0)).to_json()"),
+    "ks_two_sample": (
+        "import numpy as np\n"
+        "from pssmplab.verify import ks_two_sample\n"
+        "value = ks_two_sample(np.linspace(0.0, 1.0, 30), "
+        "np.linspace(0.2, 1.3, 25)).to_json()"),
+    "default_suite": (
+        "from pssmplab import cli\n"
+        "suite = cli.default_suite()\n"
+        "for check in suite['checks']:\n"
+        "    if 'n' in check:\n"
+        "        check['n'] = 200\n"
+        "value = [c['op'] for c in cli.run_suite(suite, 0)['checks'] "
+        "if 'error' in c]"),
     "renewal_indicator": (
         "from pssmplab.verify import RenewalProblem, renewal_limit\n"
         "p = RenewalProblem(gamma=0.75, dx=0.05, t_max=200.0)\n"
@@ -127,6 +140,8 @@ def test_runs_that_need_no_scipy_load_none(case, tmp_path):
     assert res["scipy"] == []
     if case == "cli_analyze_simulate":
         assert res["value"] == [0, 0]
+    if case == "default_suite":  # no check errored
+        assert res["value"] == []
 
 
 # each binds ``value`` from the first call of a function that imports scipy
@@ -136,11 +151,6 @@ _FIRST_USE = {
         "j = TemperedPower(1.0, 0.75, 0.01)\n"
         "value = [j.total_intensity, j.exponent(0.5), "
         "j.exponent_derivative(0.5)]"),
-    "ks_two_sample": (
-        "import numpy as np\n"
-        "from pssmplab.verify import ks_two_sample\n"
-        "value = ks_two_sample(np.linspace(0.0, 1.0, 30), "
-        "np.linspace(0.2, 1.3, 25)).to_json()"),
     "resolvent_check": (
         "from pssmplab import catalog\n"
         "from pssmplab.extensions import resolvent_check\n"
@@ -160,25 +170,30 @@ def test_first_use_of_scipy_gives_the_same_value(case):
 
 
 def test_concurrent_first_use_in_suite_is_reproducible():
-    # the scaling op imports scipy.stats and the resolvent op right after
-    # it scipy.special, each at first use on its own pool thread while the
-    # other ops run; the report must equal the one-thread report byte for
-    # byte
+    # the entrance-law check on a tempered-power model imports
+    # scipy.integrate and the resolvent check right after it scipy.special,
+    # each at first use on its own pool thread while the other checks run;
+    # the report must equal the one-thread report byte for byte
     code = (
         "import json, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from workloads import SIZES, _suite\n"
-        "from pssmplab import cli\n"
+        "from pssmplab import catalog, cli\n"
+        "from pssmplab.models import model_to_dict\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "suite = _suite(SIZES['smoke']['suite_scale'])\n"
-        "ops = [c['op'] for c in suite['checks']]\n"
-        "suite['checks'].insert(ops.index('scaling') + 1, {'op': "
-        "'resolvent', 'model': 'bessel', 'n': 400})\n"
+        "i = [c['op'] for c in suite['checks']].index('scaling') + 1\n"
+        "suite['checks'][i:i] = [{'op': 'entrance_law', 'model': "
+        "model_to_dict(catalog.boundary_root()), 't': 1.0, 'n': 400},\n"
+        "   {'op': 'resolvent', 'model': 'bessel', 'n': 400}]\n"
         "value = [json.dumps(cli.run_suite(suite, 0, threads=t), indent=2)\n"
         "         for t in (2, 1)]")
     res = _fresh(code, str(ROOT / "perfbench"))
     two, one = res["value"]
     assert two == one
-    (rec,) = [c for c in json.loads(one)["checks"] if c["op"] == "resolvent"]
-    assert "error" not in rec
-    assert "scipy.stats" in res["scipy"] and "scipy.special" in res["scipy"]
+    recs = [c for c in json.loads(one)["checks"]
+            if c["op"] in ("entrance_law", "resolvent")]
+    assert len(recs) == 3 and not [c for c in recs if "error" in c]
+    assert "scipy.integrate" in res["scipy"]
+    assert "scipy.special" in res["scipy"]
+    assert "scipy.stats" not in res["scipy"]

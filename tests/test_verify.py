@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from pssmplab import catalog
 from pssmplab.errors import BetaOutOfRange, GridTooCoarse, TooFewSamples
@@ -12,6 +13,7 @@ from pssmplab.verify import (
     KsReport,
     RenewalProblem,
     _renewal_mass,
+    _smirnov_sf,
     counterexample_demo,
     hill_estimate,
     ks_two_sample,
@@ -33,6 +35,50 @@ def test_ks_two_sample_basics():
     assert shifted.p_value < 1e-10
     with pytest.raises(TooFewSamples):
         ks_two_sample(a[:5], b)
+    same = ks_two_sample(a, a)
+    assert (same.statistic, same.p_value) == (0.0, 1.0)
+    # a non-finite draw is refused with its side, never given a p-value
+    x = a[:100]
+    for bad in (math.nan, math.inf, -math.inf):
+        y = x.copy()
+        y[[3, 17, 40, 41, 99]] = bad
+        with pytest.raises(ValueError, match=f"b must be finite, got {bad}"):
+            ks_two_sample(x, y)
+        with pytest.raises(ValueError, match=f"a must be finite, got {bad}"):
+            ks_two_sample(y, x)
+
+
+def test_ks_two_sample_matches_scipy_asymp():
+    rng = np.random.default_rng(23)
+    sizes = [20, 25, 30, 141, 1000, 2000]  # 25, 25: n = 12.5 rounds to 12
+    big = [1000, 2000]  # the only pairs with n > 140
+    pairs = ([(n1, n2) for n1 in sizes for n2 in sizes] * 7
+             + [(n1, n2) for n1 in big for n2 in big] * 25)
+    exact_region = 0
+    for n1, n2 in pairs:
+        a = rng.normal(size=n1)
+        b = rng.normal(size=n2) + rng.choice([0.0, 0.1, 0.2, 0.4])
+        if rng.random() < 0.2:  # ties within and across the samples
+            a, b = np.round(a, 1), np.round(b, 1)
+        ours, ref = ks_two_sample(a, b), stats.ks_2samp(a, b, method="asymp")
+        assert ours.statistic == ref.statistic
+        assert (ours.p_value > 0.01) == (ref.pvalue > 0.01)
+        assert ours.p_value >= ref.pvalue - 1e-6
+        en = round(n1 * n2 / (n1 + n2))
+        if en > 140 and en * ours.statistic ** 2 >= 2.2:
+            exact_region += 1
+            assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-9,
+                                                 abs=1e-300)
+    assert exact_region >= 40, exact_region
+
+
+def test_smirnov_tail_matches_scipy():
+    for n in (10, 12, 141, 1000, 12345, 100_000):
+        for d in (1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            # log n! from one cumsum carries about sqrt(n) roundings of a
+            # number near n ln n: 2.4e-9 relative at n = 1e5
+            assert _smirnov_sf(n, d) == pytest.approx(
+                special.smirnov(n, d), rel=1e-8, abs=1e-300), (n, d)
 
 
 def test_multi_seed_ks_rule():
