@@ -170,30 +170,49 @@ def test_first_use_of_scipy_gives_the_same_value(case):
 
 
 def test_concurrent_first_use_in_suite_is_reproducible():
-    # the entrance-law check on a tempered-power model imports
-    # scipy.integrate and the resolvent check right after it scipy.special,
-    # each at first use on its own pool thread while the other checks run;
-    # the report must equal the one-thread report byte for byte
+    # two entrance-law checks on a tempered-power model open the suite, so
+    # the two pool threads each build the model and import scipy.integrate
+    # at first use at the same moment; a resolvent check (scipy.special)
+    # follows.  The import hook notes when each thread's first scipy import
+    # starts and ends: the two must overlap.  The report must equal the
+    # one-thread report byte for byte
     code = (
-        "import json, sys\n"
+        "import builtins, json, sys, threading, time\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from workloads import SIZES, _suite\n"
-        "from pssmplab import catalog, cli\n"
-        "from pssmplab.models import model_to_dict\n"
-        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "from pssmplab import cli\n"
         "suite = _suite(SIZES['smoke']['suite_scale'])\n"
-        "i = [c['op'] for c in suite['checks']].index('scaling') + 1\n"
-        "suite['checks'][i:i] = [{'op': 'entrance_law', 'model': "
-        "model_to_dict(catalog.boundary_root()), 't': 1.0, 'n': 400},\n"
-        "   {'op': 'resolvent', 'model': 'bessel', 'n': 400}]\n"
-        "value = [json.dumps(cli.run_suite(suite, 0, threads=t), indent=2)\n"
-        "         for t in (2, 1)]")
+        "suite['checks'][0:0] = [{'op': 'entrance_law', 'model': "
+        "'boundary_root', 't': t, 'n': 400} for t in (1.0, 0.5)]\n"
+        "suite['checks'][2:2] = [{'op': 'resolvent', 'model': 'bessel', "
+        "'n': 400}]\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "spans, imp = {}, builtins.__import__\n"
+        "def hook(name, *a, **k):\n"
+        "    if name.split('.')[0] != 'scipy':\n"
+        "        return imp(name, *a, **k)\n"
+        "    t = threading.current_thread().name\n"
+        "    first = t not in spans\n"
+        "    if first:\n"
+        "        spans[t] = [time.perf_counter(), None]\n"
+        "    try:\n"
+        "        return imp(name, *a, **k)\n"
+        "    finally:\n"
+        "        if first:\n"
+        "            spans[t][1] = time.perf_counter()\n"
+        "builtins.__import__ = hook\n"
+        "two = json.dumps(cli.run_suite(suite, 0, threads=2), indent=2)\n"
+        "builtins.__import__ = imp\n"
+        "one = json.dumps(cli.run_suite(suite, 0, threads=1), indent=2)\n"
+        "value = [two, one, sorted(spans.values())]")
     res = _fresh(code, str(ROOT / "perfbench"))
-    two, one = res["value"]
+    two, one, spans = res["value"]
     assert two == one
     recs = [c for c in json.loads(one)["checks"]
             if c["op"] in ("entrance_law", "resolvent")]
-    assert len(recs) == 3 and not [c for c in recs if "error" in c]
+    assert len(recs) == 4 and not [c for c in recs if "error" in c]
+    # the second thread's first scipy import starts before the first's ends
+    assert len(spans) == 2 and spans[1][0] < spans[0][1], spans
     assert "scipy.integrate" in res["scipy"]
     assert "scipy.special" in res["scipy"]
     assert "scipy.stats" not in res["scipy"]
