@@ -64,7 +64,6 @@ __all__ = [
     "tempered_power_killing_for_root",
 ]
 
-_QUAD_TOL = 1e-10
 ROOT_TOL = 1e-12      # bisection width and |psi(theta)| of cramer_root
 TILT_TOL = 1e-8       # |psi(theta)| that esscher accepts as a root
 CRITICAL_TOL = 1e-9   # |psi(beta)| that classify_beta reads as critical
@@ -82,8 +81,9 @@ class Exponential:
     sign: int = 1
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("Exponential jump rate must be > 0")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError(f"Exponential jump rate must be finite and > 0, "
+                             f"got {self.rate!r}")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
@@ -118,6 +118,11 @@ class PointMass:
     """Deterministic jump size."""
 
     value: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"point-mass value must be finite, "
+                             f"got {self.value!r}")
 
     @property
     def domain_sup(self) -> float:
@@ -154,8 +159,9 @@ class CompoundPoisson:
     law: object
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("compound Poisson rate must be > 0")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError(f"compound Poisson rate must be finite and > 0, "
+                             f"got {self.rate!r}")
 
     @property
     def intensity(self) -> float:
@@ -182,6 +188,35 @@ class CompoundPoisson:
         return self.law.sample(rng, size)
 
 
+def _upper_gamma(a: float, z: float) -> float:
+    """Upper incomplete gamma Gamma(a, z) for 0 < a < 1 and z >= 0: the
+    series Gamma(a) - gamma(a, z) below z = 1 (DLMF 8.7), the continued
+    fraction by the modified Lentz method from z = 1 on (DLMF 8.9)."""
+    eps = 2.0 ** -52
+    if z < 1.0:
+        # gamma(a, z) = z^a e^{-z} sum_n z^n / (a (a+1) ... (a+n))
+        term = total = 1.0 / a
+        n = 0
+        while term > eps * total:
+            n += 1
+            term *= z / (a + n)
+            total += term
+        return math.gamma(a) - total * z ** a * math.exp(-z)
+    # z^a e^{-z} / (z+1-a - 1(1-a) / (z+3-a - 2(2-a) / (z+5-a - ...)))
+    b = z + 1.0 - a
+    c, d = 1e300, 1.0 / b
+    h, ratio, n = d, 0.0, 0
+    while abs(ratio - 1.0) > eps:  # a NaN z stops the loop too
+        n += 1
+        an = -n * (n - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        ratio = d * c
+        h *= ratio
+    return h * z ** a * math.exp(-z)
+
+
 @dataclass(frozen=True)
 class TemperedPower:
     """Jump intensity e^{-q|x|} |x|^{-1-beta} on sign*(delta, inf).
@@ -189,6 +224,17 @@ class TemperedPower:
     Jumps below the cutoff delta are not part of the model (a subordinator
     needs no compensation); the implied bias bound for dropping the small
     jumps of the untruncated intensity is delta^{1-beta}/(1-beta).
+
+    Intensity, exponent and derivative are closed forms.  With
+    a = 1 - beta and Gamma(a, z) the upper incomplete gamma,
+
+        E(c) = int_delta^inf e^{-cx} x^{-1-beta} dx
+             = (delta^{-beta} e^{-c delta} - c^beta Gamma(a, c delta)) / beta,
+        D(c) = int_delta^inf e^{-cx} x^{-beta} dx = c^{beta-1} Gamma(a, c delta),
+
+    by parts, with E(0) = delta^{-beta}/beta and D(0) = +inf.  For
+    s = sign*lam <= q the intensity is E(q), the exponent
+    E(q - s) - E(q) and its derivative sign*D(q - s).
     """
 
     q: float
@@ -198,19 +244,23 @@ class TemperedPower:
     total_intensity: float = field(init=False, compare=False, default=0.0)
 
     def __post_init__(self):
-        if self.q < 0:
-            raise ValueError("tempering rate q must be >= 0")
+        if not 0.0 <= self.q < math.inf:
+            raise ValueError(f"tempering rate q must be finite and >= 0, "
+                             f"got {self.q!r}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("power index beta must be in (0, 1)")
-        if self.delta <= 0:
-            raise ValueError("truncation delta must be > 0")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"truncation delta must be finite and > 0, "
+                             f"got {self.delta!r}")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        from scipy import integrate
-        val, _ = integrate.quad(
-            lambda x: math.exp(-self.q * x) * x ** (-1.0 - self.beta),
-            self.delta, math.inf, epsabs=_QUAD_TOL, epsrel=1e-12, limit=200)
-        object.__setattr__(self, "total_intensity", val)
+        object.__setattr__(self, "total_intensity", self._tail(self.q))
+
+    def _tail(self, c: float) -> float:
+        """E(c) of the class docstring; c = 0 needs no case of its own."""
+        beta, delta = self.beta, self.delta
+        return (delta ** -beta * math.exp(-c * delta)
+                - c ** beta * _upper_gamma(1.0 - beta, c * delta)) / beta
 
     @property
     def intensity(self) -> float:
@@ -224,24 +274,15 @@ class TemperedPower:
         s = self.sign * lam
         if s > self.q:
             return math.inf
-        q, beta, delta = self.q, self.beta, self.delta
-        from scipy import integrate
-        # (e^{sx} - 1) e^{-qx} written as a difference of bounded exponentials
-        val, _ = integrate.quad(
-            lambda x: (math.exp((s - q) * x) - math.exp(-q * x)) * x ** (-1.0 - beta),
-            delta, math.inf, epsabs=_QUAD_TOL, epsrel=1e-12, limit=200)
-        return val
+        return self._tail(self.q - s) - self.total_intensity
 
     def exponent_derivative(self, lam: float) -> float:
         s = self.sign * lam
         if s >= self.q:
             return math.inf if self.sign > 0 else -math.inf
-        q, beta, delta = self.q, self.beta, self.delta
-        from scipy import integrate
-        val, _ = integrate.quad(
-            lambda x: math.exp((s - q) * x) * x ** (-beta),
-            delta, math.inf, epsabs=_QUAD_TOL, epsrel=1e-12, limit=200)
-        return self.sign * val
+        c = self.q - s
+        return self.sign * c ** (self.beta - 1.0) * _upper_gamma(
+            1.0 - self.beta, c * self.delta)
 
     def tilted(self, theta: float) -> "TemperedPower":
         return TemperedPower(self.q - self.sign * theta, self.beta,

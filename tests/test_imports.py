@@ -126,6 +126,18 @@ _NO_SCIPY = {
         "        check['n'] = 200\n"
         "value = [c['op'] for c in cli.run_suite(suite, 0)['checks'] "
         "if 'error' in c]"),
+    "tempered_power": (
+        "from pssmplab.models import TemperedPower\n"
+        "j = TemperedPower(1.0, 0.75, 0.01)\n"
+        "value = [j.total_intensity, j.exponent(0.5), "
+        "j.exponent_derivative(0.5)]"),
+    "boundary_root": (
+        "from pssmplab import catalog\n"
+        "from pssmplab.models import cramer_root\n"
+        "from pssmplab.paths import SimConfig\n"
+        "from pssmplab.verify import counterexample_demo\n"
+        "value = [cramer_root(catalog.boundary_root()).to_json(),\n"
+        "         counterexample_demo(1.0, 0.75, 0.01, 200, SimConfig(seed=0))]"),
     "renewal_indicator": (
         "from pssmplab.verify import RenewalProblem, renewal_limit\n"
         "p = RenewalProblem(gamma=0.75, dx=0.05, t_max=200.0)\n"
@@ -146,11 +158,6 @@ def test_runs_that_need_no_scipy_load_none(case, tmp_path):
 
 # each binds ``value`` from the first call of a function that imports scipy
 _FIRST_USE = {
-    "tempered_power": (
-        "from pssmplab.models import TemperedPower\n"
-        "j = TemperedPower(1.0, 0.75, 0.01)\n"
-        "value = [j.total_intensity, j.exponent(0.5), "
-        "j.exponent_derivative(0.5)]"),
     "resolvent_check": (
         "from pssmplab import catalog\n"
         "from pssmplab.extensions import resolvent_check\n"
@@ -170,10 +177,9 @@ def test_first_use_of_scipy_gives_the_same_value(case):
 
 
 def test_concurrent_first_use_in_suite_is_reproducible():
-    # two entrance-law checks on a tempered-power model open the suite, so
-    # the two pool threads each build the model and import scipy.integrate
-    # at first use at the same moment; a resolvent check (scipy.special)
-    # follows.  The import hook notes when each thread's first scipy import
+    # two resolvent checks on the Bessel model open the suite, so the two
+    # pool threads each import scipy.special at first use at the same
+    # moment.  The import hook notes when each thread's first scipy import
     # starts and ends: the two must overlap.  The report must equal the
     # one-thread report byte for byte
     code = (
@@ -182,10 +188,8 @@ def test_concurrent_first_use_in_suite_is_reproducible():
         "from workloads import SIZES, _suite\n"
         "from pssmplab import cli\n"
         "suite = _suite(SIZES['smoke']['suite_scale'])\n"
-        "suite['checks'][0:0] = [{'op': 'entrance_law', 'model': "
-        "'boundary_root', 't': t, 'n': 400} for t in (1.0, 0.5)]\n"
-        "suite['checks'][2:2] = [{'op': 'resolvent', 'model': 'bessel', "
-        "'n': 400}]\n"
+        "suite['checks'][0:0] = [{'op': 'resolvent', 'model': 'bessel', "
+        "'n': 400} for _ in range(2)]\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "spans, imp = {}, builtins.__import__\n"
         "def hook(name, *a, **k):\n"
@@ -208,11 +212,10 @@ def test_concurrent_first_use_in_suite_is_reproducible():
     res = _fresh(code, str(ROOT / "perfbench"))
     two, one, spans = res["value"]
     assert two == one
-    recs = [c for c in json.loads(one)["checks"]
-            if c["op"] in ("entrance_law", "resolvent")]
-    assert len(recs) == 4 and not [c for c in recs if "error" in c]
+    recs = [c for c in json.loads(one)["checks"] if c["op"] == "resolvent"]
+    assert len(recs) == 2 and not [c for c in recs if "error" in c]
     # the second thread's first scipy import starts before the first's ends
     assert len(spans) == 2 and spans[1][0] < spans[0][1], spans
-    assert "scipy.integrate" in res["scipy"]
     assert "scipy.special" in res["scipy"]
+    assert "scipy.integrate" not in res["scipy"]
     assert "scipy.stats" not in res["scipy"]

@@ -24,6 +24,7 @@ from pssmplab.models import (
     LevyModel,
     PointMass,
     TemperedPower,
+    _upper_gamma,
     classify_beta,
     cramer_root,
     dual,
@@ -176,6 +177,52 @@ def test_tempered_power_total_intensity_positive():
     assert spec.total_intensity > 0
 
 
+def test_upper_gamma_matches_scipy():
+    from scipy.special import gamma, gammaincc
+
+    # z = 1 is where the series gives way to the continued fraction
+    zs = [0.0, 1e-12, 1e-4, 0.3, 0.999, 1.0, 1.001, 2.5, 10.0, 40.0]
+    for a in (0.1, 0.25, 0.5, 0.75, 0.9):
+        for z in zs:
+            want = gammaincc(a, z) * gamma(a)
+            assert _upper_gamma(a, z) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_tempered_power_closed_forms_match_quadrature():
+    from scipy import integrate
+
+    def quad(f, delta):
+        return integrate.quad(f, delta, math.inf, epsabs=1e-10, epsrel=1e-12,
+                              limit=200)[0]
+
+    def close(got, want):  # quad's own tolerance
+        return abs(got - want) <= max(1e-10, 1e-12 * abs(want))
+
+    args = [(q, beta, delta) for q in (0.0, 0.3, 1.0, 3.0)
+            for beta in (0.1, 0.5, 0.75, 0.9) for delta in (0.01, 0.1, 0.5)]
+    zs = set()  # the z of every Gamma(1 - beta, z) the closed forms take
+    for q, beta, delta in args:
+        intensity = quad(lambda x: math.exp(-q * x) * x ** (-1.0 - beta), delta)
+        # s = q: psi finite, psi' infinite; s = q - 1e-3: just below
+        for s in sorted({-5.0, -1.0, 0.0, 0.5 * q, q - 1e-3, q}):
+            psi = quad(lambda x: (math.exp((s - q) * x) - math.exp(-q * x))
+                       * x ** (-1.0 - beta), delta)
+            slope = (math.inf if s == q else
+                     quad(lambda x: math.exp((s - q) * x) * x ** -beta, delta))
+            zs.update({q * delta, (q - s) * delta})
+            for sign in (1, -1):
+                j = TemperedPower(q, beta, delta, sign)
+                assert close(j.total_intensity, intensity), (q, beta, delta)
+                assert close(j.exponent(sign * s), psi), (q, beta, delta, s)
+                d = j.exponent_derivative(sign * s)
+                if s == q:
+                    assert d == sign * math.inf
+                else:
+                    assert close(d, sign * slope), (q, beta, delta, s, sign)
+    # both branches of the incomplete gamma ran
+    assert min(zs) < 1.0 <= max(zs)
+
+
 def test_esscher_shifts_psi():
     m = catalog.two_sided()
     theta = cramer_root(m).theta
@@ -294,6 +341,23 @@ def test_model_validation():
 def test_model_rejects_non_finite(field, bad):
     with pytest.raises(ValueError, match=field):
         LevyModel(**{field: bad})
+
+
+_PARTS = {
+    "exponential": ("rate", lambda v: Exponential(v)),
+    "compound_poisson": ("rate", lambda v: CompoundPoisson(v, PointMass(1.0))),
+    "point_mass": ("value", lambda v: PointMass(v)),
+    "tempered_q": ("q", lambda v: TemperedPower(v, 0.5, 0.1)),
+    "tempered_delta": ("delta", lambda v: TemperedPower(1.0, 0.5, v)),
+}
+
+
+@pytest.mark.parametrize("part", sorted(_PARTS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_jump_part_rejects_non_finite(part, bad):
+    field, build = _PARTS[part]
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        build(bad)
 
 
 def test_model_from_dict_rejects_nan_drift():
