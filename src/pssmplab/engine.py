@@ -228,6 +228,10 @@ def marginal_batch(model: LevyModel, targets: np.ndarray,
     KILLED where zeta arrives first (the pssMp is already at 0); drawn on
     the config's stream."""
     targets = np.asarray(targets, dtype=float)
+    bad = ~(np.isfinite(targets) & (targets >= 0.0))
+    if bad.any():
+        raise ValueError(f"targets must be finite and >= 0, got "
+                         f"{float(targets[bad][0])!r}")
     # rel_tol = 0: a path stops only at its target, at zeta or the horizon
     _, x, status = _run(model, 1.0, targets.size, config.rng(), config.dt,
                         config.horizon, rel_tol=0.0, targets=targets)

@@ -148,6 +148,8 @@ def moment(model: LevyModel, p: float, n: int, config: SimConfig,
            functional: str = "I") -> ExpFunEstimate:
     """Monte Carlo E(functional^p) on the config's stream, with the
     moment-existence gate for I."""
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p!r}")
     if functional == "I":
         _check_moment_hypothesis(model, p)
         values, censored = sample_I_batch(model, n, config)

@@ -201,6 +201,16 @@ def test_gaussian_normals_are_one_stream_in_window_order(monkeypatch, case):
     assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_marginal_batch_rejects_invalid_targets(bad):
+    # a negative target used to come back HIT and a NaN one KILLED, which
+    # pssmp_marginal reads as X_t = 0
+    targets = np.array([0.5, bad, 2.0, -3.0])
+    with pytest.raises(ValueError, match=rf"targets must be finite and >= 0, "
+                                         rf"got {bad!r}"):
+        marginal_batch(catalog.brownian(), targets, CFG)
+
+
 def test_no_thread_outlives_a_run(monkeypatch):
     before = threading.active_count()
     _, threads = _record_windows(monkeypatch)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pssmplab import catalog
+from pssmplab import catalog, expfun
 from pssmplab.errors import (
     DerivativeInfinite,
     HorizonTooShort,
@@ -56,6 +56,20 @@ def test_moment_hypothesis_gate():
         recursion_check(m, 0.6, 10, CFG)  # psi(0.6) > 0
     with pytest.raises(HypothesisViolated):
         recursion_check(m, 1.5, 10, CFG)  # outside (0, 1/alpha)
+
+
+@pytest.mark.parametrize("functional, model", [
+    ("I", catalog.brownian()), ("J", esscher(catalog.brownian(), 0.5))])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_moment_rejects_non_finite_p_before_sampling(functional, model, bad,
+                                                     monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the p check")
+
+    monkeypatch.setattr(expfun, "sample_I_batch", no_sampling)
+    monkeypatch.setattr(expfun, "sample_J_batch", no_sampling)
+    with pytest.raises(ValueError, match=f"p must be finite, got {bad!r}"):
+        moment(model, bad, 10, CFG, functional=functional)
 
 
 def test_near_critical_warning():

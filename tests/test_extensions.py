@@ -358,6 +358,25 @@ def test_resolvent_lhs_is_the_exact_x_integral(lam, a, b):
         (math.exp(-k * a) - math.exp(-k * b)) / math.sqrt(lam), rel=1e-12)
 
 
+@pytest.mark.parametrize("mu", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_bessel_k_matches_scipy(mu):
+    # scipy's kv underflows to 0 near z = 700, so the grid stops at 600
+    z = np.logspace(-300, math.log10(600.0), 400)
+    np.testing.assert_allclose(extensions._bessel_k(mu, z),
+                               special.kv(mu, z), rtol=1e-12, atol=0)
+    # one z per call sets its own node count
+    np.testing.assert_allclose([extensions._bessel_k(mu, v) for v in z[::20]],
+                               special.kv(mu, z[::20]), rtol=1e-12, atol=0)
+
+
+def test_bessel_k_half_is_elementary():
+    # K_{1/2}(z) = sqrt(pi / 2z) e^{-z}, down to 4.7e-306 at z = 700
+    z = np.logspace(-300, math.log10(700.0), 400)
+    np.testing.assert_allclose(extensions._bessel_k(0.5, z),
+                               np.sqrt(np.pi / (2.0 * z)) * np.exp(-z),
+                               rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "one"}, {"kind": "power", "p": 1},
     {"kind": "indicator", "a": 0.0, "b": 1.0},

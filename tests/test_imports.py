@@ -1,8 +1,7 @@
 """Every name a pssmplab module imports is used in that module, and every
-name in its ``__all__`` is bound in it.  ``import pssmplab`` and the runs
-that need no scipy function load no scipy module; a function that needs
-scipy imports it at first use, with the same result as in a process that
-has it loaded already.
+name in its ``__all__`` is bound in it.  No module imports scipy, and in an
+interpreter where any scipy import raises, every suite op, the console
+commands and the verify demos run.
 
 Package ``__init__.py`` files only re-export, so they are exempt from the
 first check, as are ``__future__`` imports.
@@ -18,32 +17,48 @@ from pathlib import Path
 
 import pytest
 
+from pssmplab import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pssmplab"
 ALL_MODULES = sorted(SRC.rglob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
-def _unused_imports(source: str):
-    tree = ast.parse(source)
-    imported = set()
+def _imports(tree):
+    """(module, bound name) of each import in ``tree``, at any depth,
+    except ``__future__`` imports."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported.update(a.asname or a.name.split(".")[0]
-                            for a in node.names)
+            for a in node.names:
+                yield a.name, a.asname or a.name.split(".")[0]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported.update(a.asname or a.name for a in node.names)
+            for a in node.names:
+                yield node.module or "", a.asname or a.name
+
+
+def _unused_imports(source: str):
+    tree = ast.parse(source)
+    imported = {name for _, name in _imports(tree)}
     used = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted(imported - used)
+
+
+def _scipy_imports(source: str):
+    return sorted(m for m, _ in _imports(ast.parse(source))
+                  if m.split(".")[0] == "scipy")
 
 
 def test_scan_sees_unused_and_used_names():
     src = ("from __future__ import annotations\n"
            "import os.path\nimport numpy as np\n"
            "from typing import Optional, Sequence\n"
-           "def f(x: Optional[int]):\n    return np.zeros(x)\n")
+           "def f(x: Optional[int]):\n    return np.zeros(x)\n"
+           "def g():\n    from scipy.special import kv\n"
+           "    import scipy as sp\n    return kv, sp\n")
     assert _unused_imports(src) == ["Sequence", "os"]
+    assert _scipy_imports(src) == ["scipy", "scipy.special"]
 
 
 @pytest.mark.parametrize("path", MODULES,
@@ -65,25 +80,35 @@ def test_module_all_names_are_bound(path):
             if not hasattr(module, n)] == []
 
 
-# -- scipy is imported where it is first used ----------------------------------
+def test_no_module_imports_scipy():
+    found = {p.name: _scipy_imports(p.read_text()) for p in ALL_MODULES}
+    assert {name: mods for name, mods in found.items() if mods} == {}
+
+
+# -- runs with scipy blocked ---------------------------------------------------
+
+_BLOCK = 'import sys\nsys.modules["scipy"] = None\n'
 
 _REPORT = """
 import json, sys
 print(json.dumps({"value": value,
-                  "scipy": sorted(m for m in sys.modules
-                                  if m.split(".")[0] == "scipy")}))
+                  "scipy": sorted(m for m, mod in sys.modules.items()
+                                  if m.split(".")[0] == "scipy"
+                                  and mod is not None)}))
 """
 
 
 def _fresh(code: str, *args: str, cwd=None) -> dict:
     """Run ``code``, which binds ``value``, in a new interpreter that
-    imports pssmplab from this checkout; its value and loaded scipy
-    modules."""
+    imports pssmplab from this checkout and where scipy is None in
+    ``sys.modules``, so any scipy import raises; its value and loaded
+    scipy modules."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                              else []))
-    proc = subprocess.run([sys.executable, "-c", code + _REPORT, *args],
+    proc = subprocess.run([sys.executable, "-c", _BLOCK + code + _REPORT,
+                           *args],
                           env=env, cwd=cwd, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -98,15 +123,23 @@ _NO_SCIPY = {
         "value = expfun.negative_moment_check(catalog.brownian(), 64, "
         "SimConfig(seed=0)).to_json()"),
     "cli_analyze_simulate": (
-        "import json, sys\n"
+        "import json\n"
         "from pssmplab import catalog, cli\n"
         "from pssmplab.models import model_to_dict\n"
-        "with open('two_sided.json', 'w') as fh:\n"
-        "    json.dump(model_to_dict(catalog.two_sided()), fh)\n"
-        "value = [cli.main(['analyze', '--model', 'two_sided.json', "
-        "'--out', 'analyze.json']),\n"
-        "         cli.main(['simulate', '--model', 'two_sided.json', "
-        "'--kind', 'pssmp', '--samples', '2', '--out', 'paths.jsonl'])]"),
+        "for name in ('two_sided', 'brownian'):\n"
+        "    with open(name + '.json', 'w') as fh:\n"
+        "        json.dump(model_to_dict(getattr(catalog, name)()), fh)\n"
+        "calls = [['analyze', '--model', 'two_sided.json', "
+        "'--out', 'analyze.json'],\n"
+        "         ['simulate', '--model', 'two_sided.json', "
+        "'--kind', 'pssmp', '--samples', '2', '--out', 'paths.jsonl']]\n"
+        "for kind in (['levy'], ['pssmp'],\n"
+        "             ['extension', '--mode', 'continuous', "
+        "'--epsilon', '0.05']):\n"
+        "    calls.append(['simulate', '--model', 'brownian.json', "
+        "'--kind', *kind, '--samples', '3', '--seed', '7', "
+        "'--out', 'brownian.jsonl'])\n"
+        "value = [cli.main(c) for c in calls]"),
     "entrance_mass": (
         "from pssmplab import catalog\n"
         "from pssmplab.extensions import entrance_mass_check\n"
@@ -151,71 +184,44 @@ def test_runs_that_need_no_scipy_load_none(case, tmp_path):
     res = _fresh(_NO_SCIPY[case], cwd=tmp_path)
     assert res["scipy"] == []
     if case == "cli_analyze_simulate":
-        assert res["value"] == [0, 0]
+        assert res["value"] == [0] * 5
     if case == "default_suite":  # no check errored
         assert res["value"] == []
 
 
-# each binds ``value`` from the first call of a function that imports scipy
-_FIRST_USE = {
-    "resolvent_check": (
-        "from pssmplab import catalog\n"
-        "from pssmplab.extensions import resolvent_check\n"
-        "from pssmplab.paths import SimConfig\n"
-        "value = resolvent_check(catalog.bessel(), 1.0, {'kind': 'bump', "
-        "'a': 0.5, 'b': 1.5}, 64, SimConfig(seed=0)).to_json()"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_FIRST_USE))
-def test_first_use_of_scipy_gives_the_same_value(case):
-    ns = {}
-    exec(_FIRST_USE[case], ns)
-    res = _fresh(_FIRST_USE[case])
-    assert res["scipy"], "the case should load scipy at first use"
-    assert res["value"] == json.loads(json.dumps(ns["value"]))
-
-
 def test_concurrent_first_use_in_suite_is_reproducible():
-    # two resolvent checks on the Bessel model open the suite, so the two
-    # pool threads each import scipy.special at first use at the same
-    # moment.  The import hook notes when each thread's first scipy import
-    # starts and ends: the two must overlap.  The report must equal the
-    # one-thread report byte for byte
+    # the suite CI runs: every op, with a resolvent check on each f kind.
+    # The two resolvent checks open the suite, so the two pool threads
+    # each compute K_mu at first use at the same moment; a wrapper notes
+    # when each thread's resolvent check starts and ends: the two must
+    # overlap.  The report must equal the one-thread report byte for byte
     code = (
-        "import builtins, json, sys, threading, time\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "from workloads import SIZES, _suite\n"
-        "from pssmplab import cli\n"
-        "suite = _suite(SIZES['smoke']['suite_scale'])\n"
-        "suite['checks'][0:0] = [{'op': 'resolvent', 'model': 'bessel', "
-        "'n': 400} for _ in range(2)]\n"
-        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "spans, imp = {}, builtins.__import__\n"
-        "def hook(name, *a, **k):\n"
-        "    if name.split('.')[0] != 'scipy':\n"
-        "        return imp(name, *a, **k)\n"
-        "    t = threading.current_thread().name\n"
-        "    first = t not in spans\n"
-        "    if first:\n"
-        "        spans[t] = [time.perf_counter(), None]\n"
+        "import json, threading, time\n"
+        "from pathlib import Path\n"
+        "from pssmplab import cli, extensions\n"
+        "suite = json.loads(Path(sys.argv[1]).read_text())\n"
+        "suite['checks'].sort(key=lambda c: c['op'] != 'resolvent')\n"
+        "spans, check = {}, extensions.resolvent_check\n"
+        "def timed(*a, **k):\n"
+        "    t0 = time.perf_counter()\n"
         "    try:\n"
-        "        return imp(name, *a, **k)\n"
+        "        return check(*a, **k)\n"
         "    finally:\n"
-        "        if first:\n"
-        "            spans[t][1] = time.perf_counter()\n"
-        "builtins.__import__ = hook\n"
+        "        spans.setdefault(threading.current_thread().name,\n"
+        "                         [t0, time.perf_counter()])\n"
+        "extensions.resolvent_check = timed\n"
         "two = json.dumps(cli.run_suite(suite, 0, threads=2), indent=2)\n"
-        "builtins.__import__ = imp\n"
+        "extensions.resolvent_check = check\n"
         "one = json.dumps(cli.run_suite(suite, 0, threads=1), indent=2)\n"
         "value = [two, one, sorted(spans.values())]")
-    res = _fresh(code, str(ROOT / "perfbench"))
+    res = _fresh(code, str(ROOT / "tests" / "every_op_suite.json"))
     two, one, spans = res["value"]
     assert two == one
-    recs = [c for c in json.loads(one)["checks"] if c["op"] == "resolvent"]
-    assert len(recs) == 2 and not [c for c in recs if "error" in c]
-    # the second thread's first scipy import starts before the first's ends
+    checks = json.loads(one)["checks"]
+    assert [c["op"] for c in checks if "error" in c] == []
+    assert {c["op"] for c in checks} == set(cli._Z_CHECKS) | {"scaling",
+                                                                "renewal"}
+    assert [c["op"] for c in checks[:2]] == ["resolvent"] * 2
+    # the second thread's resolvent check starts before the first's ends
     assert len(spans) == 2 and spans[1][0] < spans[0][1], spans
-    assert "scipy.special" in res["scipy"]
-    assert "scipy.integrate" not in res["scipy"]
-    assert "scipy.stats" not in res["scipy"]
+    assert res["scipy"] == []
