@@ -17,7 +17,16 @@ Window contract.  Every path in a window is running on entry: the caller
 passes only live paths, and ``done`` is an output, zero on entry.  The
 kernel writes the engine's stop codes into it: KILLED where a path stopped
 at zeta, HIT where its integral crossed the target; it stays 0 where the
-path ran the whole window.
+path ran the whole window.  ``w`` is added to as ``a`` is; the engine
+reads it only on conservative runs, to test convergence, and a killed run
+never reads it.
+
+One-row windows.  A window of one row, the engine's window for a model
+without a Gaussian part, has a branch of its own: each path takes one step
+of the recursion below, h = min(zeta - t, dt), on length-k arrays, with no
+``(m + 1, k)`` scratch, clock, gathers or row sums.  A crossing there is
+solved from the state at the start of the step, by the same closed form as
+on the dense path.
 
 Dense formulation.  A whole window is computed as ``(m + 1, k)`` arrays, one
 row per grid step and one column per path, on column blocks of at most
@@ -40,9 +49,7 @@ unrolled, and it returns the same bits:
 * steps: every row is a full ``dt`` step, ``inc = b dt + sigma sqrt(dt) N``
   and ``seg = dt e^{s X} phi``, except the kill row, which is recomputed
   with ``dt_eff = zeta - T``.  Each is the recursion's own expression on
-  the same operands, elementwise.  A one-row window (a model without a
-  Gaussian part) has its kill row on row 0, so there every cell takes
-  ``dt_eff = min(zeta - t, dt)``, with no kill-row gathers;
+  the same operands, elementwise;
 * sums: ``X[r] = x + inc[0] + ... + inc[r - 1]`` is added row by row, so
   row r holds exactly what the recursion holds after r steps; in TARGET
   mode so is ``A`` from ``a`` over ``seg``, since the crossing test reads
@@ -145,9 +152,66 @@ def _row_sum(S):
     return np.add.reduce(S, axis=0)
 
 
+def _solve_crossing(x0, inc, h, r, s_ia):
+    """The crossing inside a step of length h and increment inc from x0,
+    where the integral still lacks r of its target: the path value there
+    and the time s* into the step, from r = integral_0^s* e^{s_ia (x0 + c
+    u)} du with c = inc / h."""
+    c = inc / h
+    kc = s_ia * c
+    eu = np.exp(-s_ia * x0)
+    small = np.abs(kc) * h < 1e-14
+    s_star = np.where(
+        small,
+        r * eu,
+        np.log1p(np.where(small, 0.0, r * kc * eu)) /
+        np.where(small, 1.0, kc),
+    )
+    return x0 + c * s_star, s_star
+
+
+def _one_row(x, a, t, w, done, zeta, target, z, b, sigma, dt, s_ia, mode):
+    """A one-row window: each path takes one step of the recursion."""
+    left = zeta - t
+    last = left <= dt
+    h = np.minimum(left, dt)
+    inc = b * h + sigma * np.sqrt(h) * z
+    d = inc * s_ia
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.expm1(d)
+        phi /= d
+        phi[d == 0.0] = 1.0
+        seg = np.exp(x * s_ia)
+    seg *= h
+    seg *= phi
+    if mode == TARGET:
+        # a crossing path keeps its w and takes its x and t from the
+        # crossing, solved from the state at the start of the step
+        rem = target - a
+        ci = np.flatnonzero(seg >= rem)
+        seg[ci] = 0.0
+        x_c, s_star = _solve_crossing(x[ci], inc[ci], h[ci], rem[ci], s_ia)
+        t_c = t[ci] + s_star
+    a += seg
+    w += seg
+    x += inc
+    t += dt
+    np.copyto(t, zeta, where=last)
+    done[last] = KILLED
+    if mode == TARGET:
+        x[ci] = x_c
+        t[ci] = t_c
+        a[ci] = target[ci]
+        done[ci] = HIT
+
+
 def _advance_block(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
                    s_ia, mode):
     m, k = normals.shape
+    if m == 1:
+        _one_row(x, a, t, w, done, zeta, target, normals[0], b, sigma, dt,
+                 s_ia, mode)
+        return
     # scratch: inc's buffer later holds phi and then, in TARGET mode, A;
     # d and then seg sit in rows 1..m of S, whose row 0 takes the start
     # value of each stop-row sum
@@ -155,30 +219,19 @@ def _advance_block(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
     inc, d = buf_a[:m], S[1:]
     col = np.arange(k)
     T = np.broadcast_to(_clock(t, m, dt), (m + 1, k))
-    if m == 1:
-        # one row: a path that dies in the window dies on it, so every
-        # cell is its own step of h = min(zeta - t, dt)
-        left = zeta - T[0]
-        kill = np.where(left <= dt, 0, 1)
-        h = np.minimum(left, dt)
-        np.add(b * h, sigma * np.sqrt(h) * normals[0], out=inc[0])
-    else:
-        # kill row: each path's first step with zeta - T <= dt, or m if
-        # none; zeta - T does not grow down a column, so those steps are a
-        # suffix, and only the paths whose last step satisfies it die in
-        # this window
-        kcol = np.flatnonzero(zeta - T[m - 1] <= dt)
-        krow = m - np.count_nonzero(zeta[kcol] - T[:m, kcol] <= dt, axis=0)
-        kill = np.full(k, m)
-        kill[kcol] = krow
-        dt_k = zeta[kcol] - T[krow, kcol]
-        # every step is a full dt step except the kill row; rows past a
-        # path's stop row are computed as more full steps and never reach
-        # an output
-        np.multiply(normals, sigma * np.sqrt(dt), out=inc)
-        inc += b * dt
-        inc[krow, kcol] = (b * dt_k +
-                           sigma * np.sqrt(dt_k) * normals[krow, kcol])
+    # kill row: each path's first step with zeta - T <= dt, or m if none;
+    # zeta - T does not grow down a column, so those steps are a suffix,
+    # and only the paths whose last step satisfies it die in this window
+    kcol = np.flatnonzero(zeta - T[m - 1] <= dt)
+    krow = m - np.count_nonzero(zeta[kcol] - T[:m, kcol] <= dt, axis=0)
+    kill = np.full(k, m)
+    kill[kcol] = krow
+    dt_k = zeta[kcol] - T[krow, kcol]
+    # every step is a full dt step except the kill row; rows past a path's
+    # stop row are computed as more full steps and never reach an output
+    np.multiply(normals, sigma * np.sqrt(dt), out=inc)
+    inc += b * dt
+    inc[krow, kcol] = b * dt_k + sigma * np.sqrt(dt_k) * normals[krow, kcol]
     _accumulate(X, x, inc)
     np.multiply(inc, s_ia, out=d)
     phi = inc
@@ -188,12 +241,9 @@ def _advance_block(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
         phi[d == 0.0] = 1.0
         seg = np.multiply(X[:m], s_ia, out=d)
         np.exp(seg, out=seg)
-    if m == 1:
-        seg *= h
-    else:
-        e_k = seg[krow, kcol]
-        seg *= dt
-        seg[krow, kcol] = dt_k * e_k
+    e_k = seg[krow, kcol]
+    seg *= dt
+    seg[krow, kcol] = dt_k * e_k
     seg *= phi
     stop = np.minimum(kill + 1, m)
     hit = np.zeros(k, bool)
@@ -222,21 +272,10 @@ def _advance_block(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
     if hit.any():
         ci = np.flatnonzero(hit)
         ri = stop[ci]
-        xi_c = x[ci]
         dt_c = np.where(ri == kill[ci], zeta[ci] - T[ri, ci], dt)
         inc_c = b * dt_c + sigma * np.sqrt(dt_c) * normals[ri, ci]
-        c = inc_c / dt_c
-        r = rem[ri, ci]
-        kc = s_ia * c
-        eu = np.exp(-s_ia * xi_c)
-        small = np.abs(kc) * dt_c < 1e-14
-        s_star = np.where(
-            small,
-            r * eu,
-            np.log1p(np.where(small, 0.0, r * kc * eu)) /
-            np.where(small, 1.0, kc),
-        )
-        x[ci] = xi_c + c * s_star
+        x[ci], s_star = _solve_crossing(x[ci], inc_c, dt_c, rem[ri, ci],
+                                        s_ia)
         t[ci] += s_star
         a[ci] = target[ci]
         done[ci] = HIT

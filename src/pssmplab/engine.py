@@ -12,7 +12,10 @@ window.
 The loop accumulates A = integral e^{sign * xi_s / alpha} ds up to the
 killing time or, for conservative models, until the part of A added since
 the last reading (one whole window, or at least a window's time for a path
-stopped by a jump) is below rel_tol of the running total.  In marginal
+stopped by a jump) is below rel_tol of the running total.  That part, w,
+and the time of the next reading are kept only for conservative models:
+a killed path stops at its finite zeta, never by convergence, so a killed
+run never reads w or next_check and never resets them.  In marginal
 mode the kernel also stops each path where A crosses its target.  The
 horizon is read at the end of each window, so a censored path may run past
 it by up to one window.
@@ -30,7 +33,8 @@ over.  Philox is counter-based, so filling its stream in pieces gives the
 bits one draw gives: the result is the same as drawing each window's
 block inline.  The worker is started when first needed and joined before
 the run returns, also when the kernel raises.  A model without a Gaussian
-part draws no normals: its one-row window takes zeros.
+part draws no normals: its one-row windows, which the kernel runs on a
+branch of their own, read zeros from one (1, n) buffer made once per run.
 """
 
 from __future__ import annotations
@@ -164,6 +168,8 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
 
     gauss = _GaussNormals(rng, m, n) if sigma > 0 and not model.jumps \
         else None
+    zeros = np.zeros((1, n)) if sigma == 0 else None
+    conservative = model.killing == 0
     try:
         while live.size:
             k = live.size
@@ -172,7 +178,7 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
             elif sigma > 0:
                 normals = rng.standard_normal((m, k))
             else:
-                normals = np.zeros((m, k))
+                normals = zeros[:, :k]
             st = np.zeros(k, np.int8)
             _kernels.advance_window(x, a, t, w, st,
                                     np.minimum(zeta, jump_at), tgt, normals,
@@ -180,22 +186,22 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
                                     1.0 / model.alpha, float(sign), mode)
             # stopped at a jump epoch rather than at zeta: jump and go on
             jumped = (st == KILLED) & (jump_at < zeta)
-            # convergence is read after a full window, or at a jump once a
-            # window's time has passed since the last reading, never on a
-            # window that a jump cut short
-            due = (st == 0) | (jumped & (t >= next_check))
             ji = np.flatnonzero(jumped)
             if ji.size:
                 st[ji] = 0
                 x[ji] += _draw_jump_sizes(model.jumps, cum, rng, ji.size)
                 jump_at[ji] = t[ji] + rng.exponential(1.0 / total_rate,
                                                       ji.size)
-            conv = (due & (zeta == np.inf) & (t >= _MIN_TIME) &
-                    (w < rel_tol * a))
-            st[conv] = CONVERGED
-            reset = due & ~conv
-            w[reset] = 0.0
-            next_check[reset] = t[reset] + span
+            if conservative:
+                # convergence is read after a full window, or at a jump
+                # once a window's time has passed since the last reading,
+                # never on a window that a jump cut short
+                due = (st == 0) & (~jumped | (t >= next_check))
+                conv = due & (t >= _MIN_TIME) & (w < rel_tol * a)
+                st[conv] = CONVERGED
+                reset = due & ~conv
+                w[reset] = 0.0
+                next_check[reset] = t[reset] + span
             st[(st == 0) & (t >= horizon)] = CENSORED
             finished = st != 0
             if finished.any():
@@ -212,11 +218,19 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
     return out[1], out[0], status
 
 
+def _check_n(n) -> None:
+    """``n`` as a number of draws: an int (Python or numpy, not bool) >= 1;
+    anything else would fail inside numpy or return empty arrays."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+
+
 def functional_batch(model: LevyModel, sign: float, n: int, config: SimConfig,
                      rel_tol: float = REL_TOL) -> FunctionalBatch:
     """n draws of integral_0^stop e^{sign*xi/alpha} on the config's stream;
     censored marks paths that hit the horizon before killing or
     convergence."""
+    _check_n(n)
     a, _, status = _run(model, sign, n, config.rng(), config.dt,
                         config.horizon, rel_tol)
     return FunctionalBatch(values=a, censored=status == CENSORED)

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import HIT, REL_TOL, marginal_batch
+from .engine import HIT, REL_TOL, _check_n, marginal_batch
 from .errors import HorizonTooShort, StartsAtZero
 from .expfun import sample_I_batch
 from .models import LevyModel
@@ -171,7 +171,14 @@ def pssmp_marginal(model: LevyModel, x0: float, t: float, n: int,
     _check_positive("x0", x0)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    target = t * x0 ** (-1.0 / model.alpha)
+    _check_n(n)
+    try:
+        target = t * x0 ** (-1.0 / model.alpha)
+    except OverflowError:
+        target = math.inf
+    if not math.isfinite(target):
+        raise ValueError(f"the Lamperti target t * x0^(-1/alpha) overflows "
+                         f"at x0={x0!r}, t={t!r}")
     batch = marginal_batch(model, np.full(n, target), config)
     out = np.where(batch.status == HIT, x0 * np.exp(batch.xi), 0.0)
     return out

@@ -65,12 +65,14 @@ def _reference_window(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
 
 # (b, sigma, m, wide): a Brownian window, then sigma = 0 with zero normals:
 # a standing path (d == 0), a linear path, a drift so small that the
-# crossing takes the small-kc branch, and a one-row linear window (the
-# engine's window for a model without a Gaussian part); a wide batch has
+# crossing takes the small-kc branch; then one-row windows, which the
+# kernel runs on a branch of their own: linear (the engine's window for a
+# model without a Gaussian part), Brownian and standing.  A wide batch has
 # more paths than one column block of its window
 _SCENARIOS = [(0.3, 1.0, 32, True), (0.0, 0.0, 32, False),
               (-1.0, 0.0, 32, False), (1e-16, 0.0, 32, False),
-              (-1.0, 0.0, 1, True)]
+              (-1.0, 0.0, 1, True), (0.3, 1.0, 1, False),
+              (0.0, 0.0, 1, False)]
 
 
 def _scenario_window(rng, b, sigma, m, wide, same_t, dt=0.05):

@@ -1,11 +1,13 @@
 """Lamperti time change: forward map, inverse map, hitting times, marginals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from pssmplab import catalog
+from pssmplab.expfun import moment, sample_I_batch
 from pssmplab.engine import REL_TOL
 from pssmplab.errors import HorizonTooShort, ModelDoesNotHitZero, StartsAtZero
 from pssmplab.lamperti import (
@@ -138,6 +140,30 @@ def test_pssmp_marginal_brownian():
     for t in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="t must"):
             pssmp_marginal(catalog.brownian(), 1.0, t, 10, cfg)
+
+
+@pytest.mark.parametrize("n", [-3, 0, 2.5, True])
+@pytest.mark.parametrize("call", [
+    lambda n, cfg: moment(catalog.brownian(), 0.25, n, cfg),
+    lambda n, cfg: sample_I_batch(catalog.brownian(), n, cfg),
+    lambda n, cfg: hitting_time_samples(catalog.two_sided(), 1.0, n, cfg),
+    lambda n, cfg: pssmp_marginal(catalog.brownian(), 1.0, 0.5, n, cfg),
+], ids=["moment", "sample_I_batch", "hitting_time_samples",
+        "pssmp_marginal"])
+def test_draw_count_must_be_a_positive_int(call, n):
+    with pytest.raises(ValueError,
+                       match=rf"^n must be an integer >= 1, got {n!r}$"):
+        call(n, SimConfig(seed=0))
+
+
+def test_pssmp_marginal_rejects_an_overflowing_target():
+    # x0^(-1/alpha) = 1e400 overflows; t * x0^(-1/alpha) = 1e400 gives inf
+    for model, x0, t in ((catalog.bessel(1.0), 1e-200, 1.0),
+                         (catalog.brownian(), 1e-200, 1e200)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the Lamperti target t * x0^(-1/alpha) overflows at "
+                f"x0={x0!r}, t={t!r}")):
+            pssmp_marginal(model, x0, t, 4, SimConfig(seed=0))
 
 
 def test_pssmp_path_json_record():
