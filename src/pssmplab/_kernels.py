@@ -21,6 +21,17 @@ path ran the whole window.  ``w`` is added to as ``a`` is; the engine
 reads it only on conservative runs, to test convergence, and a killed run
 never reads it.
 
+Coupled coarse path.  In STOP_AT_ZETA mode on a window of even m,
+``coarse`` (an optional 15th argument) is added to as ``a`` is, with the
+same path's integral on the grid of step 2 dt, with no new draws: row pair
+j is one segment from X[2j] to the fine X at min(2j + 2, stop), of length
+2 dt or, on the pair that holds the kill row, zeta - T[2j].  Its increment
+is the sum of the pair's fine increments, so it is a path of step 2 dt
+with exact Gaussian increments: the coupling of multilevel Monte Carlo
+(Giles 2008).  It is computed after the fine outputs and from their rows
+only, so they keep their bits.  The engine passes it only for jump-free
+Gaussian paths, all of which share the window's clock.
+
 One-row windows.  A window of one row, the engine's window for a model
 without a Gaussian part, has a branch of its own: each path takes one step
 of the recursion below, h = min(zeta - t, dt), on length-k arrays, with no
@@ -106,7 +117,7 @@ def _block(m):
 
 
 def advance_window(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
-                   inv_alpha, sign, mode):
+                   inv_alpha, sign, mode, coarse=None):
     m, n = normals.shape
     s_ia = sign * inv_alpha
     block = _block(m)
@@ -114,7 +125,8 @@ def advance_window(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
         cols = slice(j, min(j + block, n))
         _advance_block(x[cols], a[cols], t[cols], w[cols], done[cols],
                        zeta[cols], target[cols], normals[:, cols], b, sigma,
-                       dt, s_ia, mode)
+                       dt, s_ia, mode,
+                       None if coarse is None else coarse[cols])
     return None
 
 
@@ -205,8 +217,37 @@ def _one_row(x, a, t, w, done, zeta, target, z, b, sigma, dt, s_ia, mode):
         done[ci] = HIT
 
 
+def _coarse_pairs(coarse, X, T, krow, kcol, stop, zeta, dt, s_ia, buf, S):
+    """Add to ``coarse`` the path's integral on the 2 dt grid: row pair j is
+    one segment from X[2j] to X[min(2j + 2, stop)], of length 2 dt or, on
+    the pair that holds the kill row, zeta - T[2j]; pairs from the stop on
+    add +0.0.  Uses the scratch ``buf`` and rows 1..m/2 of ``S``."""
+    m = X.shape[0] - 1
+    h = m // 2
+    C, phi = buf[:h + 1], buf[h + 1:]
+    seg, d = C[1:], S[1:h + 1]
+    np.subtract(X[2::2], X[:m:2], out=d)
+    kp = krow // 2
+    d[kp, kcol] = X[krow + 1, kcol] - X[2 * kp, kcol]
+    d *= s_ia
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.expm1(d, out=phi)
+        phi /= d
+        phi[d == 0.0] = 1.0
+        np.multiply(X[:m:2], s_ia, out=seg)
+        np.exp(seg, out=seg)
+    e_k = seg[kp, kcol]
+    seg *= 2.0 * dt
+    seg[kp, kcol] = (zeta[kcol] - T[2 * kp, kcol]) * e_k
+    seg *= phi
+    if (stop < m).any():
+        np.copyto(seg, 0.0, where=np.arange(h)[:, None] >= (stop + 1) // 2)
+    C[0] = coarse
+    coarse[:] = _row_sum(C)
+
+
 def _advance_block(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
-                   s_ia, mode):
+                   s_ia, mode, coarse):
     m, k = normals.shape
     if m == 1:
         _one_row(x, a, t, w, done, zeta, target, normals[0], b, sigma, dt,
@@ -266,6 +307,9 @@ def _advance_block(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
         a[:] = _row_sum(S)
     S[0] = w
     w[:] = _row_sum(S)
+    if coarse is not None:
+        _coarse_pairs(coarse, X, T, krow, kcol, stop, zeta, dt, s_ia,
+                      buf_a, S)
     killed = (kill < m) & ~hit
     t[killed] = zeta[killed]
     done[killed] = KILLED

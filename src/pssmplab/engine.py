@@ -15,10 +15,25 @@ the last reading (one whole window, or at least a window's time for a path
 stopped by a jump) is below rel_tol of the running total.  That part, w,
 and the time of the next reading are kept only for conservative models:
 a killed path stops at its finite zeta, never by convergence, so a killed
-run never reads w or next_check and never resets them.  In marginal
-mode the kernel also stops each path where A crosses its target.  The
-horizon is read at the end of each window, so a censored path may run past
-it by up to one window.
+run keeps neither, and the kernel adds to a zeroed w that nothing reads.
+In marginal mode the kernel also stops each path where A crosses its
+target.  The horizon is read at the end of each window, so a censored path
+may run past it by up to one window.
+
+Coupled runs.  coupled_batch runs a jump-free Gaussian model in
+STOP_AT_ZETA mode with one more state row, the coarse A: the kernel adds
+to it the path's integral on the grid of step 2 dt from the same normals
+(see _kernels), and the row stops where the fine path stops.  On a killed
+run the coarse path is then a run at 2 dt in law, killed at the same zeta.
+On a conservative run it stops at the fine path's convergence reading, so
+it differs from a run at 2 dt by the tail past that reading, below
+rel_tol of A.  The fine draws keep their bits.
+
+Compaction.  The state holds only the rows a run reads: x, a, t and the
+next jump epoch; zeta on a killed run; w and next_check on a conservative
+one, whose zeta is inf; the target in marginal mode; the coarse A in a
+coupled run.  A finished path's columns leave the block at the end of its
+window.
 
 Draw order.  A run first draws each path's killing time zeta, then its
 first jump epoch.  A model with jumps then draws, per window, the window's
@@ -42,6 +57,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -50,7 +66,7 @@ from .models import LevyModel
 from .paths import SimConfig
 
 __all__ = ["FunctionalBatch", "MarginalBatch", "functional_batch",
-           "marginal_batch", "REL_TOL"]
+           "coupled_batch", "marginal_batch", "REL_TOL"]
 
 # a conservative path has converged once the part of A added since the last
 # reading is below REL_TOL of the running total
@@ -71,6 +87,8 @@ _MIN_TIME = 1.0    # a conservative path is not read as converged before it
 class FunctionalBatch:
     values: np.ndarray      # accumulated integral per path
     censored: np.ndarray    # bool: horizon hit before killing/convergence
+    coarse: Optional[np.ndarray] = None  # coupled_batch: the 2 dt integral
+    normals: int = 0        # normals the windows took
 
 
 @dataclass
@@ -144,32 +162,45 @@ class _GaussNormals:
             self.pending.result()
 
 
-def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
-    """A, xi and the status of n paths, each where its path stopped."""
+def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None,
+         coupled=False):
+    """A, xi and the status of n paths, each where its path stopped, the
+    coupled coarse A (None unless ``coupled``) and the normals the windows
+    took."""
     sigma = math.sqrt(model.gaussian)
     m, step = (_WINDOW_STEPS, dt) if sigma > 0 else (1, _WINDOW_TIME)
     span = m * step
     mode = _kernels.TARGET if targets is not None else _kernels.STOP_AT_ZETA
-    # the live state, one row per quantity and one column per live path
-    state = np.zeros((8, n))
-    x, a, t, w, zeta, jump_at, next_check, tgt = state
-    zeta[:] = rng.exponential(1.0 / model.killing, n) if model.killing > 0 \
-        else np.inf
-    rates = np.array([s.intensity for s in model.jumps])
+    conservative = model.killing == 0
+    # the live state holds only the rows this run reads, one per quantity
+    # and one column per live path; the first rows are the outputs
+    rows = ["a", "x"] + ["coarse"] * coupled + ["t", "jump_at"] + \
+        (["w", "next_check"] if conservative else ["zeta"]) + \
+        ["tgt"] * (targets is not None)
+    n_out = 3 if coupled else 2
+    state = np.zeros((len(rows), n))
+    s = dict(zip(rows, state))
+    if not conservative:
+        s["zeta"][:] = rng.exponential(1.0 / model.killing, n)
+    rates = np.array([spec.intensity for spec in model.jumps])
     total_rate = float(rates.sum())
     cum = np.cumsum(rates) / total_rate
-    jump_at[:] = rng.exponential(1.0 / total_rate, n) if model.jumps \
+    s["jump_at"][:] = rng.exponential(1.0 / total_rate, n) if model.jumps \
         else np.inf
-    next_check[:] = span
-    tgt[:] = 0.0 if targets is None else targets
+    if conservative:
+        s["next_check"][:] = span
+    if targets is not None:
+        s["tgt"][:] = targets
     live = np.arange(n)
-    out = np.zeros((2, n))
+    out = np.zeros((n_out, n))
     status = np.full(n, CENSORED, dtype=np.int8)
+    taken = 0
 
     gauss = _GaussNormals(rng, m, n) if sigma > 0 and not model.jumps \
         else None
     zeros = np.zeros((1, n)) if sigma == 0 else None
-    conservative = model.killing == 0
+    # the kernel's target argument where the run has no targets
+    no_target = np.full(n, np.inf)
     try:
         while live.size:
             k = live.size
@@ -179,13 +210,22 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
                 normals = rng.standard_normal((m, k))
             else:
                 normals = zeros[:, :k]
+            taken += normals.size if sigma > 0 else 0
+            x, a, t, jump_at = s["x"], s["a"], s["t"], s["jump_at"]
+            # a conservative run has zeta = inf: it stops at jump epochs only
+            stop_at = jump_at if conservative else \
+                np.minimum(s["zeta"], jump_at)
+            w = s["w"] if conservative else np.zeros(k)
             st = np.zeros(k, np.int8)
-            _kernels.advance_window(x, a, t, w, st,
-                                    np.minimum(zeta, jump_at), tgt, normals,
+            _kernels.advance_window(x, a, t, w, st, stop_at,
+                                    s.get("tgt", no_target[:k]), normals,
                                     float(model.drift), sigma, float(step),
-                                    1.0 / model.alpha, float(sign), mode)
+                                    1.0 / model.alpha, float(sign), mode,
+                                    s.get("coarse"))
             # stopped at a jump epoch rather than at zeta: jump and go on
-            jumped = (st == KILLED) & (jump_at < zeta)
+            jumped = st == KILLED
+            if not conservative:
+                jumped &= jump_at < s["zeta"]
             ji = np.flatnonzero(jumped)
             if ji.size:
                 st[ji] = 0
@@ -196,6 +236,7 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
                 # convergence is read after a full window, or at a jump
                 # once a window's time has passed since the last reading,
                 # never on a window that a jump cut short
+                next_check = s["next_check"]
                 due = (st == 0) & (~jumped | (t >= next_check))
                 conv = due & (t >= _MIN_TIME) & (w < rel_tol * a)
                 st[conv] = CONVERGED
@@ -206,16 +247,16 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None):
             finished = st != 0
             if finished.any():
                 idx = live[finished]
-                out[:, idx] = np.compress(finished, state[:2], axis=1)
+                out[:, idx] = np.compress(finished, state[:n_out], axis=1)
                 status[idx] = st[finished]
                 keep = ~finished
                 live = live[keep]
                 state = np.compress(keep, state, axis=1)
-                x, a, t, w, zeta, jump_at, next_check, tgt = state
+                s = dict(zip(rows, state))
     finally:
         if gauss is not None:
             gauss.close()
-    return out[1], out[0], status
+    return out[0], out[1], (out[2] if coupled else None), status, taken
 
 
 def _check_n(n) -> None:
@@ -225,15 +266,42 @@ def _check_n(n) -> None:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
 
 
+def _check_draw(sign, n, rel_tol) -> None:
+    """The arguments of a functional batch: sign 0 would integrate 1 and
+    return zeta, and a NaN or negative rel_tol would censor every
+    conservative path; rel_tol = 0 means never converged."""
+    if sign not in (1.0, -1.0):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    _check_n(n)
+    if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
+
+
 def functional_batch(model: LevyModel, sign: float, n: int, config: SimConfig,
                      rel_tol: float = REL_TOL) -> FunctionalBatch:
     """n draws of integral_0^stop e^{sign*xi/alpha} on the config's stream;
     censored marks paths that hit the horizon before killing or
     convergence."""
-    _check_n(n)
-    a, _, status = _run(model, sign, n, config.rng(), config.dt,
-                        config.horizon, rel_tol)
-    return FunctionalBatch(values=a, censored=status == CENSORED)
+    _check_draw(sign, n, rel_tol)
+    a, _, _, status, taken = _run(model, sign, n, config.rng(), config.dt,
+                                  config.horizon, rel_tol)
+    return FunctionalBatch(values=a, censored=status == CENSORED,
+                           normals=taken)
+
+
+def coupled_batch(model: LevyModel, sign: float, n: int, config: SimConfig,
+                  rel_tol: float = REL_TOL) -> FunctionalBatch:
+    """functional_batch's draws, each with ``coarse``: the same path's
+    integral on the grid of step 2 dt, from the same normals, stopped where
+    the fine path stops.  A jump-free Gaussian model only."""
+    if not model.gaussian > 0 or model.jumps:
+        raise ValueError("a coupled batch needs a jump-free Gaussian model")
+    _check_draw(sign, n, rel_tol)
+    a, _, coarse, status, taken = _run(model, sign, n, config.rng(),
+                                       config.dt, config.horizon, rel_tol,
+                                       coupled=True)
+    return FunctionalBatch(values=a, censored=status == CENSORED,
+                           coarse=coarse, normals=taken)
 
 
 def marginal_batch(model: LevyModel, targets: np.ndarray,
@@ -242,11 +310,14 @@ def marginal_batch(model: LevyModel, targets: np.ndarray,
     KILLED where zeta arrives first (the pssMp is already at 0); drawn on
     the config's stream."""
     targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 1:
+        raise ValueError(f"targets must be 1-D, got shape {targets.shape}")
     bad = ~(np.isfinite(targets) & (targets >= 0.0))
     if bad.any():
         raise ValueError(f"targets must be finite and >= 0, got "
                          f"{float(targets[bad][0])!r}")
     # rel_tol = 0: a path stops only at its target, at zeta or the horizon
-    _, x, status = _run(model, 1.0, targets.size, config.rng(), config.dt,
-                        config.horizon, rel_tol=0.0, targets=targets)
+    _, x, _, status, _ = _run(model, 1.0, targets.size, config.rng(),
+                              config.dt, config.horizon, rel_tol=0.0,
+                              targets=targets)
     return MarginalBatch(xi=x, status=status)

@@ -263,6 +263,8 @@ def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
     the normalizer is estimated on an independent stream."""
     _, at, tilted, gam = _tilted_setup(model)
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1:
+        raise ValueError(f"t_grid must be 1-D, got shape {t_grid.shape}")
     for t in t_grid.tolist():
         _check_positive("t", t)
     func = make_test_function(f)

@@ -13,6 +13,7 @@ import pytest
 
 from pssmplab import catalog, engine
 from pssmplab.engine import functional_batch, marginal_batch
+from pssmplab.extensions import entrance_law_curve
 from pssmplab.expfun import (
     dual_identity_check,
     negative_moment_check,
@@ -209,6 +210,32 @@ def test_marginal_batch_rejects_invalid_targets(bad):
     with pytest.raises(ValueError, match=rf"targets must be finite and >= 0, "
                                          rf"got {bad!r}"):
         marginal_batch(catalog.brownian(), targets, CFG)
+
+
+@pytest.mark.parametrize("name, call", [
+    # sign 0 integrated 1 and returned zeta as if it were I
+    ("sign", lambda: functional_batch(catalog.brownian(), 0.0, 5, CFG)),
+    # a NaN or negative rel_tol censored every conservative path
+    ("rel_tol", lambda: functional_batch(catalog.pure_drift(), 1.0, 5, CFG,
+                                         rel_tol=np.nan)),
+    ("rel_tol", lambda: sample_I_batch(catalog.bessel(1.0), 5, CFG,
+                                       rel_tol=-1.0)),
+    # a 2-D grid or target array failed inside the loop or in numpy
+    ("t_grid", lambda: entrance_law_curve(catalog.brownian(),
+                                          [[0.5, 1.0]], {"kind": "one"}, 5,
+                                          CFG)),
+    ("targets", lambda: marginal_batch(catalog.brownian(),
+                                       np.ones((2, 3)), CFG)),
+], ids=["sign", "rel_tol_nan", "rel_tol_negative", "t_grid", "targets"])
+def test_bad_arguments_are_refused_by_name(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call()
+
+
+def test_zero_rel_tol_means_never_converged():
+    batch = functional_batch(catalog.pure_drift(), 1.0, 3,
+                             SimConfig(dt=0.01, horizon=40.0), rel_tol=0.0)
+    assert batch.censored.all()
 
 
 def test_no_thread_outlives_a_run(monkeypatch):

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pssmplab import catalog, expfun
+from pssmplab import catalog, expfun, paths
+from pssmplab.engine import functional_batch
 from pssmplab.errors import (
     DerivativeInfinite,
     HorizonTooShort,
@@ -19,6 +20,7 @@ from pssmplab.errors import (
 from pssmplab.expfun import (
     CheckReport,
     dual_identity_check,
+    mean_se,
     moment,
     negative_moment_check,
     recursion_check,
@@ -26,7 +28,13 @@ from pssmplab.expfun import (
     sample_I_batch,
     sample_J_batch,
 )
-from pssmplab.models import LevyModel, esscher
+from pssmplab.models import (
+    CompoundPoisson,
+    Exponential,
+    LevyModel,
+    cramer_root,
+    esscher,
+)
 from pssmplab.paths import SimConfig
 
 CFG = SimConfig(dt=0.01, horizon=400.0, seed=0)
@@ -159,7 +167,15 @@ def test_reports_serialize():
     doc = rep.to_json()
     assert set(doc) == {"lhs", "rhs", "se", "z", "n", "censored"}
     est = moment(catalog.pure_drift(), 0.5, 8, CFG)
-    assert set(est.to_json()) == {"value", "se", "n", "censored", "note"}
+    doc = est.to_json()
+    assert set(doc) == {"value", "se", "n", "censored", "note", "levels",
+                        "dt_bias", "dt_bias_se"}
+    assert doc["levels"] is None and doc["dt_bias"] is None
+    doc = moment(DRIFTED, -0.25, 20, CFG).to_json()
+    assert [lv["dt"] for lv in doc["levels"]] == [0.16, 0.08, 0.04, 0.02,
+                                                  0.01]
+    assert set(doc["levels"][0]) == {"dt", "n", "mean", "variance"}
+    assert doc["dt_bias"] == doc["levels"][-1]["mean"]
 
 
 @pytest.mark.parametrize("lhs, rhs, se", [
@@ -173,3 +189,98 @@ def test_check_report_z_is_nan_unless_all_finite(lhs, rhs, se):
     # se = 0 with finite sides stays z = 0: both sides are exact
     assert CheckReport(lhs=1.0, rhs=1.0, std_err=0.0, n=10,
                        censored=0).z_score == 0.0
+
+
+# -- multilevel moments -------------------------------------------------------
+
+# the benchmark's drifted model, psi(s) = s^2/2 - s - 1/8, and Dufresne's
+# tilt of brownian, J = 2/Exp(1)
+DRIFTED = LevyModel(drift=-1.0, gaussian=1.0, killing=0.125, alpha=1.0)
+TILTED = esscher(catalog.brownian(), 0.5)
+MIXED = LevyModel(drift=0.0, gaussian=1.0, killing=0.125, alpha=1.0,
+                  jumps=(CompoundPoisson(rate=0.5, law=Exponential(
+                      rate=2.0, sign=-1)),))
+
+
+@pytest.mark.parametrize("model, p, functional", [
+    # both sides of the beta = 0.25 and 0.45 recursions on brownian have
+    # an infinite plain variance
+    (catalog.brownian(), 0.25, "I"), (catalog.brownian(), -0.75, "I"),
+    (catalog.brownian(), 0.45, "I"), (catalog.brownian(), -0.55, "I"),
+    # jumps
+    (MIXED, -0.5, "I"),
+    (esscher(MIXED, cramer_root(MIXED).theta), -1.0, "J"),
+    # no Gaussian part
+    (catalog.killed_drift(), -0.25, "I"),
+    # p = 0, and E(I^{2p}) = oo at 2p <= -1 on a killed model, where psi
+    # reads psi(-1.5) < 0
+    (DRIFTED, 0.0, "I"),
+    (replace(DRIFTED, drift=0.0, killing=2.0), -0.75, "I"),
+])
+def test_excluded_moments_keep_the_plain_draws(model, p, functional):
+    est = moment(model, p, 400, CFG, functional=functional)
+    sign = 1.0 if functional == "I" else -1.0
+    batch = functional_batch(model, sign, 400, CFG)
+    assert (est.value, est.std_err) == mean_se(
+        batch.values[~batch.censored] ** p)
+    assert est.levels is None and est.dt_bias is None
+
+
+@pytest.mark.parametrize("model, p, functional, exact, bias", [
+    (TILTED, -1.0, "J", 0.5, 4e-4),
+    (DRIFTED, 0.75, "I", 1.292763, 8e-4),
+    (DRIFTED, -0.25, "I", 1.023438, 2e-4),
+])
+def test_multilevel_moment_matches_the_exact_value(model, p, functional,
+                                                   exact, bias):
+    # bias: the first-order dt bias at dt = 0.01, from 4 x 10^4 coupled
+    # pairs per dt, where fine - coarse halved with dt from 0.04
+    n = 20000
+    est = moment(model, p, n, CFG, functional=functional)
+    assert [lv.dt for lv in est.levels] == [0.16, 0.08, 0.04, 0.02, 0.01]
+    assert est.censored == 0
+    assert abs(est.value - exact) < 4.0 * est.std_err + bias
+    # the variance of n plain draws, read from the coarsest level
+    plain_se = math.sqrt(est.levels[0].variance / n)
+    assert 0.8 < est.std_err / plain_se < 1.05
+
+
+def test_level_streams_are_apart_from_every_caller_stream(monkeypatch):
+    keys = []
+    stream_rng = paths.stream_rng
+
+    def recording(seed, stream_id):
+        keys.append(stream_id)
+        return stream_rng(seed, stream_id)
+
+    monkeypatch.setattr(paths, "stream_rng", recording)
+    for base in (0, 3001, 2 ** 64 - 3):
+        keys.clear()
+        # two moments, on the config's stream and on its substream(1)
+        recursion_check(DRIFTED, 0.75, 300, replace(CFG, stream_id=base))
+        assert len(keys) == len(set(keys)) > 10
+        for key in keys:
+            for caller in (base, base + 1):
+                # neither the caller's stream nor its substream(k), k < 2^32
+                assert (key - caller) % 2 ** 64 >= 2 ** 32
+            # nor a suite's base 1000 i
+            assert key % 1000 or key >= 1000 * 2 ** 32
+
+
+def test_dt_bias_is_the_finest_level_difference_and_first_order():
+    est = moment(TILTED, -1.0, 2000, CFG, functional="J")
+    finest = est.levels[-1]
+    assert est.dt_bias == finest.mean
+    assert est.dt_bias_se == math.sqrt(finest.variance / finest.n)
+    # the finest level's fine - coarse mean is about -c dt: it halves with
+    # dt.  An estimate's own finest level is too small to show that, so
+    # the level is drawn here with 3 x 10^4 pairs (relative SE 5 %)
+    bias = []
+    for dt in (0.04, 0.02, 0.01):
+        y, censored, _ = expfun._level_draws(
+            TILTED, -1.0, -1.0, 1, 30000, SimConfig(dt=dt, seed=5))
+        assert censored == 0
+        bias.append(y.mean())
+    assert all(b < 0 for b in bias)
+    for coarse, fine in zip(bias, bias[1:]):
+        assert 1.6 < coarse / fine < 2.4, bias

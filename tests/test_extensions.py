@@ -11,7 +11,7 @@ from scipy import special, stats
 
 from pssmplab import catalog, cli, extensions, models
 from pssmplab.errors import ConfigRejected, NoCramerRoot
-from pssmplab.expfun import sample_J_batch
+from pssmplab.expfun import moment, sample_J_batch
 from pssmplab.extensions import (
     ExtensionConfig,
     entrance_law_curve,
@@ -337,17 +337,19 @@ def test_resolvent_lhs_is_the_exact_x_integral(lam, a, b):
     # c = lam J, the lhs's x-integral of the indicator of [a, b) is
     # int_a^b x^{1-theta} e^{-c x^2} dx / (Gamma(1 - at) / 2)
     #     = c^{at-1} [P(1-at, c b^2) - P(1-at, c a^2)]
-    # over the normalizer E(J^{at-1}), on the check's own streams
+    # over the normalizer E(J^{at-1}), on the check's own streams (a
+    # multilevel moment: J^{at-1} has a finite variance)
     model = catalog.bessel(1.0)
     assert model.alpha == 0.5
     root = cramer_root(model)
     at, tilted = root.alpha_theta, models.esscher(model, root.theta)
     jv, jc = sample_J_batch(tilted, 2000, CFG)
-    jv2, jc2 = sample_J_batch(tilted, 2000, CFG.substream(1))
+    den = moment(tilted, at - 1.0, 2000, CFG.substream(1), functional="J")
+    assert den.levels is not None
     c, s = lam * jv[~jc], 1.0 - at
     r = c ** -s * (special.gammainc(s, c * b * b)
                    - special.gammainc(s, c * a * a))
-    expected = r.mean() / (jv2[~jc2] ** (at - 1.0)).mean()
+    expected = r.mean() / den.value
     rep = resolvent_check(model, lam, {"kind": "indicator", "a": a, "b": b},
                           2000, CFG)
     assert rep.lhs == pytest.approx(expected, rel=1e-12)

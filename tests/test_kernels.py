@@ -20,14 +20,18 @@ def _state(n):
 
 
 def _reference_window(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
-                      inv_alpha, sign, mode, seen):
+                      inv_alpha, sign, mode, seen, coarse=None):
     """The kernel's contract written as a loop over paths and steps, one
-    scalar at a time.  ``seen`` counts the branches taken."""
+    scalar at a time.  ``seen`` counts the branches taken.  With ``coarse``
+    each step pair is also one segment of the 2 dt grid, from x at its
+    first step to x after its second or, on the kill pair, to x at zeta."""
     s_ia = sign * inv_alpha
     for i in range(x.size):
         for k in range(normals.shape[0]):
             if done[i]:
                 break
+            if k % 2 == 0:
+                x_pair, t_pair = x[i], t[i]
             last = zeta[i] - t[i] <= dt
             h = zeta[i] - t[i] if last else dt
             inc = b * h + sigma * np.sqrt(h) * normals[k, i]
@@ -61,6 +65,13 @@ def _reference_window(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
             if last:
                 t[i] = zeta[i]
                 done[i] = 1
+            if coarse is not None and (k % 2 == 1 or last):
+                h_c = zeta[i] - t_pair if last else 2.0 * dt
+                d = s_ia * (x[i] - x_pair)
+                phi = np.expm1(d) / d if d != 0.0 else 1.0
+                coarse[i] += h_c * np.exp(s_ia * x_pair) * phi
+                if last:
+                    seen[f"coarse_kill_row_{k % 2}"] += 1
 
 
 # (b, sigma, m, wide): a Brownian window, then sigma = 0 with zero normals:
@@ -68,7 +79,8 @@ def _reference_window(x, a, t, w, done, zeta, target, normals, b, sigma, dt,
 # crossing takes the small-kc branch; then one-row windows, which the
 # kernel runs on a branch of their own: linear (the engine's window for a
 # model without a Gaussian part), Brownian and standing.  A wide batch has
-# more paths than one column block of its window
+# more paths than one column block of its window.  Every window of an even
+# m is also run coupled in STOP_AT_ZETA mode
 _SCENARIOS = [(0.3, 1.0, 32, True), (0.0, 0.0, 32, False),
               (-1.0, 0.0, 32, False), (1e-16, 0.0, 32, False),
               (-1.0, 0.0, 1, True), (0.3, 1.0, 1, False),
@@ -105,7 +117,8 @@ def _scenario_window(rng, b, sigma, m, wide, same_t, dt=0.05):
 @pytest.mark.parametrize("same_t", [True, False])
 def test_window_matches_per_step_recursion_bit_for_bit(same_t):
     rng = np.random.default_rng(7)
-    seen = dict(d_zero=0, small_kc=0, cross_on_kill=0)
+    seen = dict(d_zero=0, small_kc=0, cross_on_kill=0, coarse_kill_row_0=0,
+                coarse_kill_row_1=0)
     for b, sigma, m, wide in _SCENARIOS:
         state, zeta, target, normals = _scenario_window(rng, b, sigma, m,
                                                         wide, same_t)
@@ -122,6 +135,20 @@ def test_window_matches_per_step_recursion_bit_for_bit(same_t):
             assert (got[4] == 1).any()
             if mode == _kernels.TARGET:
                 assert (got[4] == 2).any()
+            elif m % 2 == 0:
+                # coupled: the fine outputs keep their bits
+                coarse = rng.exponential(0.2, zeta.size)
+                ref_c, got_c = coarse.copy(), coarse.copy()
+                fine = [v.copy() for v in state]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    _reference_window(*[v.copy() for v in state], *args,
+                                      seen, coarse=ref_c)
+                    _kernels.advance_window(*fine, *args, got_c)
+                for name, r, g in zip("x a t w done".split(), got, fine):
+                    assert np.array_equal(r, g), (b, sigma, m, name)
+                assert np.array_equal(ref_c, got_c), (b, sigma, m)
+                assert (got_c > coarse).all()
     assert all(seen.values()), seen
 
 
