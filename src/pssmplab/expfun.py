@@ -10,19 +10,23 @@ continuous recurrent extension.  The checks below compare independent Monte
 Carlo estimates of both sides of the moment recursion, the I/J duality and
 the negative-moment identity, reporting z-scores rather than verdicts.
 
-Multilevel moments.  ``moment`` takes E(I^p) or E(J^p) by Giles' multilevel
-estimator (2008, *Oper. Res.* 56) when the model has sigma > 0 and no jumps
-and the plain variance is finite by psi: for I, -1 < 2p < 0 or 2p > 0 with
-psi(2p/alpha) < 0; for J, 2p < 0 or psi(-2p/alpha) < 0, with psi the
-exponent of the model J is drawn under; and p != 0.  Levels run from
-_COARSEST_DT down to config.dt by halving; each level l >= 1 draws fine
-and coarse on one path (engine.coupled_batch), so the sum of the level
-means telescopes to the finest level's expectation.  That is exact on
-killed runs, where a coupled coarse path is a path at 2 dt in law.  On
+Multilevel means.  ``moment``, and the entrance law's and the resolvent's
+numerators in ``extensions``, take the mean of a payoff of I or J, one or
+k outputs of the same draws (_payoff_mean).  It is Giles' multilevel
+estimate (2008, *Oper. Res.* 56) when the model has sigma > 0 and no jumps
+and the plain variance is finite by psi at the power p of the functional
+that bounds the payoff (p itself for a moment): for I, -1 < 2p < 0 or
+2p > 0 with psi(2p/alpha) < 0; for J, 2p < 0 or psi(-2p/alpha) < 0, with
+psi the exponent of the model J is drawn under; and p != 0.  Levels run
+from _COARSEST_DT down to config.dt by halving; each level l >= 1 draws
+fine and coarse on one path (engine.coupled_batch), so the sum of the
+level means telescopes to the finest level's expectation.  That is exact
+on killed runs, where a coupled coarse path is a path at 2 dt in law.  On
 conservative runs (J) it holds to within rel_tol, because a coupled coarse
 path stops at the fine path's convergence reading.  The estimate keeps the
-first-order dt bias of config.dt and reports it as ``dt_bias``.  Every
-other moment is the plain mean of n draws, bit for bit as before.
+first-order dt bias of config.dt; a moment reports the coupled levels'
+pooled reading of it as ``dt_bias``.  Every other mean is the plain mean
+of n draws, bit for bit as before.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ _PILOT = 100  # draws of each level's pilot, which sets the allocation
 
 class Level(NamedTuple):
     """One level of a multilevel estimate: its dt, its uncensored draws,
-    and the mean and per-draw variance of P_l - P_{l-1} (P_0 on level 0)."""
+    and the mean and per-draw variance of P_l - P_{l-1} (P_0 on level 0);
+    in _multilevel, a tuple of both per output."""
     dt: float
     n: int
     mean: float
@@ -76,9 +81,9 @@ class ExpFunEstimate:
     n: int
     censored: int
     truncation_note: str = ""
-    # multilevel only: the levels, coarsest first, and the finest level's
-    # mean fine - coarse difference with its paired SE, about minus the
-    # first-order dt bias of the estimate
+    # multilevel only: the levels, coarsest first, and the coupled levels'
+    # pooled reading of minus the first-order dt bias of the estimate, with
+    # its SE (_pooled_dt_bias)
     levels: Optional[list] = None
     dt_bias: Optional[float] = None
     dt_bias_se: Optional[float] = None
@@ -221,65 +226,129 @@ def _level_config(config: SimConfig, level: int, run: int,
     return replace(config, dt=dt, stream_id=sid % (1 << 64))
 
 
-def _level_draws(model, sign, p, level, n, config):
-    """P_l - P_{l-1} (P_0 on level 0) of the uncensored paths of one n-path
-    run, the count of censored ones and the normals taken per path."""
+def _level_draws(model, sign, payoff, level, n, config):
+    """payoff(P_l) - payoff(P_{l-1}) (payoff(P_0) on level 0) of the
+    uncensored paths of one n-path run, a (k, m) array, with the count of
+    censored paths and the normals taken per path."""
     if level == 0:
         b = functional_batch(model, sign, n, config)
-        y = b.values[~b.censored] ** p
+        y = payoff(b.values[~b.censored])
     else:
         b = coupled_batch(model, sign, n, config)
         ok = ~b.censored
-        y = b.values[ok] ** p - b.coarse[ok] ** p
+        y = payoff(b.values[ok]) - payoff(b.coarse[ok])
     return y, int(b.censored.sum()), b.normals / n
 
 
-def _multilevel(model: LevyModel, sign: float, p: float, n: int,
-                config: SimConfig) -> ExpFunEstimate:
-    """Giles' multilevel estimate of E(functional^p), with the variance of
-    the plain estimate from n draws at the coarsest dt.
+def _multilevel(model: LevyModel, sign: float, payoff, n: int,
+                config: SimConfig):
+    """Giles' multilevel estimate of E(payoff(functional)) for a payoff
+    that maps m draws to a (k, m) array, each of the k outputs with at most
+    the variance of its plain estimate from n draws at the coarsest dt.
+    Returns the levels, coarsest first, each Level holding a tuple of k
+    means and of k variances, and the count of censored paths.
 
-    E(P_L) = E(P_0) + sum_l E(P_l - P_{l-1}), where P_l is the functional
-    to the p at dt_l = config.dt * 2^(L - l) and level l >= 1 draws P_l and
-    P_{l-1} on one path by coupled_batch.  Each level's pilot of _PILOT
-    draws gives its variance s_l^2 and its cost c_l, the normals per path;
-    each level then has n_l = max(_PILOT, ceil(n / s_0^2 * sqrt(s_l^2 / c_l)
-    * sum_k sqrt(s_k^2 c_k))) draws, so that sum_l s_l^2 / n_l <= s_0^2 / n
-    at the least cost, drawn in runs of at most n paths after the pilot.
-    The SE is sqrt(sum_l s_l^2 / n_l) over all of each level's draws.
+    E(P_L) = E(P_0) + sum_l E(P_l - P_{l-1}), where P_l is the payoff of
+    the functional at dt_l = config.dt * 2^(L - l) and level l >= 1 draws
+    both on one path by coupled_batch.  Each level's pilot of _PILOT draws
+    gives output j's variance s_lj^2 and the level's cost c_l, the normals
+    per path.  Output j asks n_lj = max(_PILOT, ceil(n / s_0j^2 *
+    sqrt(s_lj^2 / c_l) * sum_i sqrt(s_ij^2 c_i))), so that sum_l s_lj^2 /
+    n_lj <= s_0j^2 / n at the least cost; an output whose level-0 pilot is
+    constant asks the plain n at level 0.  All outputs share each level's
+    draws, so level l takes the largest n_lj, drawn in runs of at most n
+    paths after the pilot.  Output j's SE is sqrt(sum_l s_lj^2 / n_l) over
+    all of each level's draws.
     """
     dts = _level_dts(config)
-    draws = [_level_draws(model, sign, p, lv, _PILOT,
+    draws = [_level_draws(model, sign, payoff, lv, _PILOT,
                           _level_config(config, lv, 0, dt))
              for lv, dt in enumerate(dts)]
-    var = [float(y.var(ddof=1)) if y.size > 1 else 0.0 for y, _, _ in draws]
     cost = [c for _, _, c in draws]
-    total = sum(math.sqrt(v * c) for v, c in zip(var, cost))
-    scale = n * total / var[0] if var[0] > 0 else 0.0
+    want = [_PILOT] * len(dts)
+    for j in range(len(draws[0][0])):
+        var = [float(y[j].var(ddof=1)) if y.shape[1] > 1 else 0.0
+               for y, _, _ in draws]
+        if not var[0] > 0:
+            want[0] = max(want[0], n)
+            continue
+        scale = n * sum(math.sqrt(v * c) for v, c in zip(var, cost)) / var[0]
+        want = [max(w, math.ceil(scale * math.sqrt(v / c)))
+                for w, v, c in zip(want, var, cost)]
     levels = []
     censored = 0
     for lv, dt in enumerate(dts):
-        want = max(_PILOT, math.ceil(scale * math.sqrt(var[lv] / cost[lv])))
         ys = [draws[lv][0]]
         censored += draws[lv][1]
-        for run, start in enumerate(range(_PILOT, want, n), 1):
-            y, cens, _ = _level_draws(model, sign, p, lv,
-                                      min(n, want - start),
+        for run, start in enumerate(range(_PILOT, want[lv], n), 1):
+            y, cens, _ = _level_draws(model, sign, payoff, lv,
+                                      min(n, want[lv] - start),
                                       _level_config(config, lv, run, dt))
             ys.append(y)
             censored += cens
-        y = np.concatenate(ys)
-        levels.append(Level(dt=dt, n=int(y.size), mean=mean_se(y)[0],
-                            variance=float(y.var(ddof=1))))
-    finest = levels[-1]
-    return ExpFunEstimate(
-        value=math.fsum(lv.mean for lv in levels),
-        std_err=math.sqrt(sum(lv.variance / lv.n for lv in levels)),
-        n=n, censored=censored,
-        truncation_note=f"horizon={config.horizon}, "
-                        f"adaptive rel_tol={REL_TOL:g}",
-        levels=levels, dt_bias=finest.mean,
-        dt_bias_se=math.sqrt(finest.variance / finest.n))
+        y = np.concatenate(ys, axis=1)
+        levels.append(Level(dt=dt, n=y.shape[1],
+                            mean=tuple(mean_se(r)[0] for r in y),
+                            variance=tuple(float(r.var(ddof=1))
+                                           for r in y)))
+    return levels, censored
+
+
+class _Mean(NamedTuple):
+    """E(payoff) for each of k outputs; levels only when multilevel."""
+    values: list
+    std_errs: list
+    censored: int
+    levels: Optional[list]
+
+
+def _payoff_mean(model: LevyModel, functional: str, payoff, power: float,
+                 n: int, config: SimConfig) -> _Mean:
+    """Monte Carlo E(payoff(functional)) for a payoff that maps m draws of
+    I or J to a (k, m) array, one row per output.
+
+    When _multilevel_ok holds at ``power``, the power of the functional
+    that bounds the payoff's plain variance, it is a multilevel estimate
+    (_multilevel) on streams derived from the config's; otherwise it is
+    the plain mean of n draws on the config's stream.  An output with no
+    nonzero draw has value 0 and SE NaN: no mean of draws that are all 0
+    is decisive."""
+    if functional == "I":
+        _require_hits_zero(model)
+        sign = 1.0
+    else:
+        _require_drifting_up(model)
+        sign = -1.0
+    if len(_level_dts(config)) > 1 and _multilevel_ok(model, power,
+                                                      functional):
+        _check_n(n)
+        levels, censored = _multilevel(model, sign, payoff, n, config)
+        values = [math.fsum(lv.mean[j] for lv in levels)
+                  for j in range(len(levels[0].mean))]
+        ses = [math.sqrt(sum(lv.variance[j] / lv.n for lv in levels))
+               for j in range(len(values))]
+    else:
+        batch = functional_batch(model, sign, n, config)
+        values, ses = zip(*(mean_se(r) for r in
+                            payoff(batch.values[~batch.censored])))
+        censored = int(batch.censored.sum())
+        levels = None
+    ses = [math.nan if v == 0 and se == 0 else se
+           for v, se in zip(values, ses)]
+    return _Mean(list(values), ses, censored, levels)
+
+
+def _pooled_dt_bias(levels: list):
+    """Every coupled level's reading of the first-order dt bias, pooled by
+    inverse variance: level l's mean difference is about -c dt_l, so
+    mean_l dt_L / dt_l estimates -c dt_L, about minus the bias at the
+    finest dt.  Returns the pooled value and its SE."""
+    fine = levels[-1].dt
+    reads = [(lv.mean * fine / lv.dt,
+              lv.variance / lv.n * (fine / lv.dt) ** 2) for lv in levels[1:]]
+    weight = math.fsum(1.0 / v for _, v in reads)
+    return (math.fsum(e / v for e, v in reads) / weight,
+            math.sqrt(1.0 / weight))
 
 
 def moment(model: LevyModel, p: float, n: int, config: SimConfig,
@@ -296,21 +365,20 @@ def moment(model: LevyModel, p: float, n: int, config: SimConfig,
         raise ValueError(f"p must be finite, got {p!r}")
     if functional == "I":
         _check_moment_hypothesis(model, p)
-        _require_hits_zero(model)
-    elif functional == "J":
-        _require_drifting_up(model)
-    else:
+    elif functional != "J":
         raise ValueError("functional must be 'I' or 'J'")
-    sign = 1.0 if functional == "I" else -1.0
-    if len(_level_dts(config)) > 1 and _multilevel_ok(model, p, functional):
-        _check_n(n)
-        return _multilevel(model, sign, p, n, config)
-    batch = functional_batch(model, sign, n, config)
-    m, se = mean_se(batch.values[~batch.censored] ** p)
-    return ExpFunEstimate(value=m, std_err=se, n=n,
-                          censored=int(batch.censored.sum()),
+    est = _payoff_mean(model, functional, lambda v: (v ** p)[None], p, n,
+                       config)
+    levels = bias = bias_se = None
+    if est.levels is not None:
+        levels = [lv._replace(mean=lv.mean[0], variance=lv.variance[0])
+                  for lv in est.levels]
+        bias, bias_se = _pooled_dt_bias(levels)
+    return ExpFunEstimate(value=est.values[0], std_err=est.std_errs[0], n=n,
+                          censored=est.censored,
                           truncation_note=f"horizon={config.horizon}, "
-                                          f"adaptive rel_tol={REL_TOL:g}")
+                                          f"adaptive rel_tol={REL_TOL:g}",
+                          levels=levels, dt_bias=bias, dt_bias_se=bias_se)
 
 
 def recursion_check(model: LevyModel, beta: float, n: int,

@@ -15,7 +15,13 @@ functional J of the tilted model:
         = E_t(f(t^alpha / J^alpha) J^{alpha theta - 1})
           / (t^{alpha theta} Gamma(1 - alpha theta) E_t(J^{alpha theta - 1}))
 
-with the normalizing expectation estimated on an independent stream.
+with the normalizing expectation estimated on an independent stream.  Both
+means, and the resolvent's, are multilevel on a jump-free Gaussian model
+(``expfun._payoff_mean``): the numerator's levels are drawn from the
+caller's stream, the normalizer's from its substream(1), and every t of a
+grid shares the numerator's draws.  With jumps or sigma = 0 each is the
+plain mean of n draws.  A numerator with no nonzero draw has SE NaN, so its
+check is not decisive.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import BetaOutOfRange, ConfigRejected, NoCramerRoot
-from .expfun import CheckReport, mean_se, moment, sample_J_batch
+from .expfun import CheckReport, _payoff_mean, moment
 from .lamperti import _check_positive, levy_to_pssmp
 from .models import (
     BetaClass,
@@ -259,8 +265,9 @@ class EntranceCurve:
 
 def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
                        config: SimConfig) -> EntranceCurve:
-    """Entrance-law functional over a whole t-grid from one shared J batch;
-    the normalizer is estimated on an independent stream."""
+    """Entrance-law functional over a whole t-grid from shared J draws, one
+    payoff output per t (expfun._payoff_mean); the normalizer is estimated
+    on an independent stream."""
     _, at, tilted, gam = _tilted_setup(model)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1:
@@ -269,17 +276,20 @@ def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
         _check_positive("t", t)
     func = make_test_function(f)
     alpha = model.alpha
+    # f = x^p makes the payoff J^{at - 1 - alpha p}; every other f is bounded
+    power = at - 1.0 - (alpha * f["p"] if f["kind"] == "power" else 0.0)
 
-    jv, jc = sample_J_batch(tilted, n, config)
-    jv = jv[~jc]
-    w = jv ** (at - 1.0)
+    def payoff(jv):
+        w = jv ** (at - 1.0)
+        return np.array([func(t ** alpha / jv ** alpha) * w for t in t_grid])
 
+    mc = _payoff_mean(tilted, "J", payoff, power, n, config)
     den = moment(tilted, at - 1.0, n, config.substream(1), functional="J")
 
     values = np.empty(t_grid.size)
     ses = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        num, num_se = mean_se(func(t ** alpha / jv ** alpha) * w)
+    for i, (t, num, num_se) in enumerate(zip(t_grid, mc.values,
+                                             mc.std_errs)):
         scale = t ** at * gam * den.value
         v = num / scale
         rel = math.hypot(num_se / num if num != 0 else 0.0,
@@ -287,7 +297,7 @@ def entrance_law_curve(model: LevyModel, t_grid: np.ndarray, f, n: int,
         values[i] = v
         ses[i] = abs(v) * rel if num != 0 else num_se / scale
     return EntranceCurve(t_grid=t_grid, values=values, std_errs=ses, n=n,
-                         censored=int(jc.sum()) + den.censored,
+                         censored=mc.censored + den.censored,
                          alpha_theta=at)
 
 
@@ -325,10 +335,11 @@ def resolvent_check(model: LevyModel, lam: float, f, n: int,
     """Resolvent of the excursion measure, n(int_0^{T0} e^{-lam t} f(X_t)
     dt), on a Bessel exponent (``catalog.bessel``), against its exact value.
 
-    lhs: per J draw under the tilt, the entrance law's t-integral in
-    x = t^alpha / J^alpha, the x-quadrature of f(x) x^{1/alpha - 1 - theta}
-    e^{-lam x^{1/alpha} J} / (alpha Gamma(1-at)), over the mean of
-    J^{at-1} on an independent stream, with the delta-method SE.
+    lhs: the mean over J under the tilt (expfun._payoff_mean) of r(J), the
+    entrance law's t-integral in x = t^alpha / J^alpha, the x-quadrature
+    of f(x) x^{1/alpha - 1 - theta} e^{-lam x^{1/alpha} J}
+    / (alpha Gamma(1-at)), over the mean of J^{at-1} on an independent
+    stream, with the delta-method SE.
     rhs: int f(y) y 2 (2 lam / y^2)^{mu/2} K_mu(y sqrt(2 lam)) dy
     / Gamma(1-mu) with mu = -drift, the exact value for BES(2 - 2 mu),
     with K_mu a trapezoid sum (``_bessel_k``).
@@ -357,13 +368,17 @@ def resolvent_check(model: LevyModel, lam: float, f, n: int,
     x = np.exp(0.5 * (lb - la) * nodes + 0.5 * (la + lb))
     dx = 0.5 * (lb - la) * weights * func(x) * x
 
-    jv, jc = sample_J_batch(tilted, n, config)
-    jv = jv[~jc]
     wx = dx * x ** (1.0 / alpha - 1.0 - theta) / (alpha * gam)
-    r = sum(wi * np.exp(-lam * xi ** (1.0 / alpha) * jv)
-            for wi, xi in zip(wx, x))
+
+    def payoff(jv):
+        return sum(wi * np.exp(-lam * xi ** (1.0 / alpha) * jv)
+                   for wi, xi in zip(wx, x))[None]
+
+    # r(J) is bounded, so its variance rule is read at at - 1, as for a
+    # bounded f in the entrance law
+    mc = _payoff_mean(tilted, "J", payoff, at - 1.0, n, config)
     den = moment(tilted, at - 1.0, n, config.substream(1), functional="J")
-    m, se = mean_se(r)
+    m, se = mc.values[0], mc.std_errs[0]
     lhs = m / den.value
     # den comes from another stream, so the two errors add in quadrature
     lhs_se = math.hypot(se, lhs * den.std_err) / den.value
@@ -372,4 +387,4 @@ def resolvent_check(model: LevyModel, lam: float, f, n: int,
     rhs = float(np.sum(dx * 2.0 * x * (s / x) ** mu * _bessel_k(mu, s * x))) \
         / math.gamma(1.0 - mu)
     return CheckReport(lhs=lhs, rhs=rhs, std_err=lhs_se, n=n,
-                       censored=int(jc.sum()) + den.censored)
+                       censored=mc.censored + den.censored)

@@ -208,6 +208,26 @@ def test_verify_entrance_law_record(tmp_path):
     assert math.isfinite(rec["z"])
 
 
+def test_a_check_whose_every_draw_is_zero_fails():
+    # at these lambdas e^{-lam x^2 J} underflows to 0 in every draw: a
+    # numerator of zeros says nothing, so its SE is NaN and the check fails
+    # (lambda = 1e5 has an exact value of 2e-108, lambda = 1e6 of 0).  A
+    # side that is exact, pure_drift's deterministic I, still reads z = 0.
+    report = cli.run_suite({"checks": [
+        {"op": "resolvent", "model": "bessel", "lambda": 1e6, "n": 200},
+        {"op": "resolvent", "model": "bessel", "lambda": 1e5, "n": 200},
+        {"op": "recursion", "model": "pure_drift", "beta": 0.25, "n": 8},
+    ]}, seed=0)
+    zero_6, zero_5, exact = report["checks"]
+    for rec in (zero_6, zero_5):
+        assert "error" not in rec
+        assert rec["lhs"] == 0.0 and math.isnan(rec["se"])
+        assert math.isnan(rec["z"]) and rec["pass"] is False
+    assert zero_5["rhs"] > 0.0
+    assert exact["se"] == 0.0 and exact["z"] == 0.0 and exact["pass"]
+    assert report["failed"] == 2
+
+
 @pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
 def test_verify_rejects_a_seed_outside_the_key_before_any_check(
         seed, tmp_path, capsys, monkeypatch):

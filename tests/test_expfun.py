@@ -175,7 +175,8 @@ def test_reports_serialize():
     assert [lv["dt"] for lv in doc["levels"]] == [0.16, 0.08, 0.04, 0.02,
                                                   0.01]
     assert set(doc["levels"][0]) == {"dt", "n", "mean", "variance"}
-    assert doc["dt_bias"] == doc["levels"][-1]["mean"]
+    assert (doc["dt_bias"], doc["dt_bias_se"]) == expfun._pooled_dt_bias(
+        moment(DRIFTED, -0.25, 20, CFG).levels)
 
 
 @pytest.mark.parametrize("lhs, rhs, se", [
@@ -267,20 +268,46 @@ def test_level_streams_are_apart_from_every_caller_stream(monkeypatch):
             assert key % 1000 or key >= 1000 * 2 ** 32
 
 
-def test_dt_bias_is_the_finest_level_difference_and_first_order():
+def test_dt_bias_pools_every_coupled_level_and_is_first_order():
     est = moment(TILTED, -1.0, 2000, CFG, functional="J")
+    # each coupled level's mean reads -c dt_l; scaled by dt_L / dt_l it
+    # reads -c dt_L, and the readings pool by inverse variance
+    fine = est.levels[-1].dt
+    reads = [(lv.mean * fine / lv.dt, lv.variance / lv.n * (fine / lv.dt) ** 2)
+             for lv in est.levels[1:]]
+    weights = [1.0 / v for _, v in reads]
+    assert est.dt_bias == pytest.approx(
+        sum(w * e for w, (e, _) in zip(weights, reads)) / sum(weights),
+        rel=1e-12)
+    assert est.dt_bias_se == pytest.approx(sum(weights) ** -0.5, rel=1e-12)
+    # pooling only adds readings: the SE is below the finest level's own
     finest = est.levels[-1]
-    assert est.dt_bias == finest.mean
-    assert est.dt_bias_se == math.sqrt(finest.variance / finest.n)
+    assert est.dt_bias_se < math.sqrt(finest.variance / finest.n)
     # the finest level's fine - coarse mean is about -c dt: it halves with
     # dt.  An estimate's own finest level is too small to show that, so
     # the level is drawn here with 3 x 10^4 pairs (relative SE 5 %)
     bias = []
     for dt in (0.04, 0.02, 0.01):
         y, censored, _ = expfun._level_draws(
-            TILTED, -1.0, -1.0, 1, 30000, SimConfig(dt=dt, seed=5))
+            TILTED, -1.0, lambda v: (v ** -1.0)[None], 1, 30000,
+            SimConfig(dt=dt, seed=5))
         assert censored == 0
         bias.append(y.mean())
     assert all(b < 0 for b in bias)
     for coarse, fine in zip(bias, bias[1:]):
         assert 1.6 < coarse / fine < 2.4, bias
+
+
+def test_an_output_whose_pilot_is_constant_takes_the_plain_n_at_level_0():
+    # J > 1000 has probability 0.2 % under Dufresne's tilt (J = 2/Exp(1)),
+    # so the 100-draw level-0 pilot sees none and says nothing of the
+    # variance: that output asks the plain n at level 0
+    def payoff(v):
+        return (v > 1000.0)[None] * 1.0
+
+    pilot, _, _ = expfun._level_draws(
+        TILTED, -1.0, payoff, 0, 100, expfun._level_config(CFG, 0, 0, 0.16))
+    assert not pilot.any()
+    est = expfun._payoff_mean(TILTED, "J", payoff, -0.5, 2000, CFG)
+    assert est.levels[0].n >= 2000
+    assert est.values[0] > 0.0 and est.std_errs[0] > 0.0

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from pssmplab import catalog, cli, extensions, models
+from pssmplab import catalog, cli, expfun, extensions, models
 from pssmplab.errors import ConfigRejected, NoCramerRoot
-from pssmplab.expfun import moment, sample_J_batch
+from pssmplab.expfun import mean_se, moment, sample_J_batch
 from pssmplab.extensions import (
     ExtensionConfig,
     entrance_law_curve,
@@ -307,6 +307,13 @@ def test_resolvent_check_against_the_bessel_value(delta):
     assert rep.z_score < 4.0
 
 
+def _forbid_sampling(monkeypatch, sentinel):
+    # the checks draw their numerator through expfun._payoff_mean and their
+    # normalizer through moment, both looked up in extensions
+    monkeypatch.setattr(extensions, "_payoff_mean", sentinel)
+    monkeypatch.setattr(extensions, "moment", sentinel)
+
+
 def test_a_root_at_the_extension_boundary_is_refused_before_sampling(
         monkeypatch):
     # theta = 1 exactly on the first model and theta = 2 - 2e-14 on the
@@ -322,7 +329,7 @@ def test_a_root_at_the_extension_boundary_is_refused_before_sampling(
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the existence check")
 
-    monkeypatch.setattr(extensions, "sample_J_batch", no_sampling)
+    _forbid_sampling(monkeypatch, no_sampling)
     bump = {"kind": "bump", "a": 0.5, "b": 1.5}
     with pytest.raises(NoCramerRoot):
         resolvent_check(near_bessel, 1.0, bump, 200, CFG)
@@ -337,19 +344,25 @@ def test_resolvent_lhs_is_the_exact_x_integral(lam, a, b):
     # c = lam J, the lhs's x-integral of the indicator of [a, b) is
     # int_a^b x^{1-theta} e^{-c x^2} dx / (Gamma(1 - at) / 2)
     #     = c^{at-1} [P(1-at, c b^2) - P(1-at, c a^2)]
-    # over the normalizer E(J^{at-1}), on the check's own streams (a
-    # multilevel moment: J^{at-1} has a finite variance)
+    # over the normalizer E(J^{at-1}), on the check's own streams.  Both
+    # are multilevel means, the x-integral's from the same level draws as
+    # the check's: J^{at-1} has a finite variance and r(J) is bounded
     model = catalog.bessel(1.0)
     assert model.alpha == 0.5
     root = cramer_root(model)
     at, tilted = root.alpha_theta, models.esscher(model, root.theta)
-    jv, jc = sample_J_batch(tilted, 2000, CFG)
+    s = 1.0 - at
+
+    def exact_x_integral(jv):
+        c = lam * jv
+        return (c ** -s * (special.gammainc(s, c * b * b)
+                           - special.gammainc(s, c * a * a)))[None]
+
+    num = expfun._payoff_mean(tilted, "J", exact_x_integral, at - 1.0, 2000,
+                              CFG)
     den = moment(tilted, at - 1.0, 2000, CFG.substream(1), functional="J")
-    assert den.levels is not None
-    c, s = lam * jv[~jc], 1.0 - at
-    r = c ** -s * (special.gammainc(s, c * b * b)
-                   - special.gammainc(s, c * a * a))
-    expected = r.mean() / den.value
+    assert num.levels is not None and den.levels is not None
+    expected = num.values[0] / den.value
     rep = resolvent_check(model, lam, {"kind": "indicator", "a": a, "b": b},
                           2000, CFG)
     assert rep.lhs == pytest.approx(expected, rel=1e-12)
@@ -358,6 +371,77 @@ def test_resolvent_lhs_is_the_exact_x_integral(lam, a, b):
     k = math.sqrt(2.0 * lam)
     assert rep.rhs == pytest.approx(
         (math.exp(-k * a) - math.exp(-k * b)) / math.sqrt(lam), rel=1e-12)
+
+
+# the tests' mixed jump model (tests/test_engine.py _mixed)
+MIXED = LevyModel(drift=0.0, gaussian=1.0, killing=0.125, alpha=1.0,
+                  jumps=(models.CompoundPoisson(
+                      rate=0.5, law=models.Exponential(rate=2.0, sign=-1)),))
+
+
+@pytest.mark.parametrize("f", [{"kind": "bump", "a": 0.2, "b": 2.0},
+                               {"kind": "power", "p": 0.3}])
+def test_entrance_law_with_jumps_is_the_plain_j_batch(f):
+    # a jump model keeps the plain batch of n J draws, bit for bit: the
+    # formula below is the estimator as it was before multilevel numerators
+    t_grid = np.array([0.5, 1.0, 2.0])
+    curve = entrance_law_curve(MIXED, t_grid, f, 3000, CFG)
+    root = cramer_root(MIXED)
+    at, tilted = root.alpha_theta, models.esscher(MIXED, root.theta)
+    func, alpha = make_test_function(f), MIXED.alpha
+    jv, jc = sample_J_batch(tilted, 3000, CFG)
+    jv = jv[~jc]
+    w = jv ** (at - 1.0)
+    den = moment(tilted, at - 1.0, 3000, CFG.substream(1), functional="J")
+    assert den.levels is None
+    for i, t in enumerate(t_grid):
+        num, num_se = mean_se(func(t ** alpha / jv ** alpha) * w)
+        scale = t ** at * math.gamma(1.0 - at) * den.value
+        v = num / scale
+        rel = math.hypot(num_se / num, den.std_err / den.value)
+        assert curve.values[i] == v
+        assert curve.std_errs[i] == abs(v) * rel
+    assert curve.censored == int(jc.sum()) + den.censored
+
+
+def _entrance_payoff(model, t_grid, f):
+    root = cramer_root(model)
+    at, func, alpha = root.alpha_theta, make_test_function(f), model.alpha
+    return (models.esscher(model, root.theta),
+            lambda jv: np.array([func(t ** alpha / jv ** alpha)
+                                 * jv ** (at - 1.0) for t in t_grid]),
+            at - 1.0)
+
+
+def test_multilevel_numerator_has_the_plain_variance():
+    # the mass numerator, E(J^{at-1}), against a plain batch at the same n
+    n = 20000
+    tilted, payoff, power = _entrance_payoff(catalog.brownian(), [1.0],
+                                             {"kind": "one"})
+    ml = expfun._payoff_mean(tilted, "J", payoff, power, n, CFG)
+    assert ml.levels is not None and ml.censored == 0
+    jv, jc = sample_J_batch(tilted, n, CFG.substream(5))
+    plain_se = mean_se(payoff(jv[~jc])[0])[1]
+    assert 0.8 < ml.std_errs[0] / plain_se < 1.05
+    # a grid's outputs share one allocation, the largest each level needs,
+    # so no output's SE is above its plain SE
+    t_grid = [0.25, 1.0, 4.0]
+    tilted, payoff, power = _entrance_payoff(
+        catalog.brownian(), t_grid, {"kind": "indicator", "a": 0.5, "b": 1.5})
+    ml = expfun._payoff_mean(tilted, "J", payoff, power, 5000, CFG)
+    plain = [mean_se(row)[1] for row in payoff(jv[~jc][:5000])]
+    for se, plain_se in zip(ml.std_errs, plain):
+        assert se / plain_se < 1.05
+
+
+def test_entrance_law_of_zero_draws_is_not_decisive():
+    # no draw puts X_1 in [1e6, 2e6): the value is 0 with SE NaN, whether
+    # the numerator is multilevel (brownian) or plain (jumps)
+    f = {"kind": "indicator", "a": 1e6, "b": 2e6}
+    for model in (catalog.brownian(), MIXED):
+        curve = entrance_law_curve(model, np.array([1.0, 2.0]), f, 300, CFG)
+        assert (curve.values == 0.0).all()
+        assert np.isnan(curve.std_errs).all()
 
 
 @pytest.mark.parametrize("mu", [0.05, 0.25, 0.5, 0.75, 0.95])
@@ -391,7 +475,7 @@ def test_resolvent_crosscheck_refuses_f_without_support_in_0_inf(
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the support check")
 
-    monkeypatch.setattr(extensions, "sample_J_batch", no_sampling)
+    _forbid_sampling(monkeypatch, no_sampling)
     with pytest.raises(ValueError, match=r"the resolvent needs an indicator "
                                          r"or bump f on \[a, b\] with 0 < a"):
         resolvent_check(catalog.bessel(), 1.0, spec, 5000, CFG)
@@ -411,7 +495,7 @@ def test_resolvent_check_refuses_a_non_bessel_exponent(model, monkeypatch):
     def not_reached(*args, **kwargs):
         raise AssertionError("solved or sampled before the model check")
 
-    monkeypatch.setattr(extensions, "sample_J_batch", not_reached)
+    _forbid_sampling(monkeypatch, not_reached)
     monkeypatch.setattr(extensions, "cramer_root", not_reached)
     with pytest.raises(ValueError, match="the resolvent check needs a "
                                          "Bessel exponent"):
@@ -437,7 +521,7 @@ def test_out_of_domain_lambda_and_t_are_rejected_before_sampling(
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the domain check")
 
-    monkeypatch.setattr(extensions, "sample_J_batch", no_sampling)
+    _forbid_sampling(monkeypatch, no_sampling)
     bump = {"kind": "bump", "a": 0.5, "b": 1.5}
     with pytest.raises(ValueError, match="lambda must be finite and > 0"):
         resolvent_check(catalog.bessel(), bad, bump, 100, CFG)
