@@ -12,6 +12,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -37,8 +38,21 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _strict(v):
+    """v with each non-finite float as None, which JSON writes as null:
+    the bare NaN and Infinity that json.dumps writes by default are not
+    JSON."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _strict(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict(x) for x in v]
+    return v
+
+
 def _write_json(doc: dict, out: Optional[str]):
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(_strict(doc), indent=2, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

@@ -2,23 +2,30 @@
 
 One windowed loop serves every model class.  Each window advances the live
 paths through the dense numpy window kernel, _kernels.advance_window: 128
-steps of dt for the Gaussian part or, for a model without one, a single
-exact drift segment of length _WINDOW_TIME (the dt grid only discretizes
-the Brownian part).  Jump epochs are exact per-path stop times: the kernel
-stops a path at min(zeta, next jump epoch), and at a jump epoch the loop
-adds a jump size, draws the next epoch and resumes the path in the next
-window.
+steps of dt for the Gaussian part (fewer in marginal mode's first windows,
+see Draw order) or, for a model without one, a single exact drift segment
+of length _WINDOW_TIME (the dt grid only discretizes the Brownian part).
+Jump epochs are exact per-path stop times: the kernel stops a path at
+min(zeta, next jump epoch), and at a jump epoch the loop adds a jump size,
+draws the next epoch and resumes the path in the next window.
 
 The loop accumulates A = integral e^{sign * xi_s / alpha} ds up to the
 killing time or, for conservative models, until the part of A added since
-the last reading (one whole window, or at least a window's time for a path
-stopped by a jump) is below rel_tol of the running total.  That part, w,
-and the time of the next reading are kept only for conservative models:
-a killed path stops at its finite zeta, never by convergence, so a killed
-run keeps neither, and the kernel adds to a zeroed w that nothing reads.
+the last reading (one whole 128-step window, or at least that window's
+time for a path stopped by a jump or in marginal mode's shorter first
+windows) is below rel_tol of the running total.  That part, w, and the
+time of the next reading are kept only for conservative models: a killed
+path stops at its finite zeta, never by convergence, so a killed run keeps
+neither, and the kernel adds to a zeroed w that nothing reads.
+
 In marginal mode the kernel also stops each path where A crosses its
-target.  The horizon is read at the end of each window, so a censored path
-may run past it by up to one window.
+target, and a conservative path whose reading finds A converged below its
+target leaves the run CONVERGED: its pssMp has been absorbed at 0.  Such a
+path would have crossed later only if its target lay within the tail of A
+past the reading, which the rule takes, as functional_batch does, to be
+below rel_tol of A: only a target between A and A (1 + rel_tol) can be
+misread as absorbed.  The horizon is read at the end of each window, so a
+censored path may run past it by up to one window.
 
 Coupled runs.  coupled_batch runs a jump-free Gaussian model in
 STOP_AT_ZETA mode with one more state row, the coarse A: the kernel adds
@@ -36,20 +43,25 @@ coupled run.  A finished path's columns leave the block at the end of its
 window.
 
 Draw order.  A run first draws each path's killing time zeta, then its
-first jump epoch.  A model with jumps then draws, per window, the window's
-(m, k) normals, then the jump sizes and next epochs of the paths that
-jumped in it, all on the calling thread.  A jump-free Gaussian run draws
-nothing after zeta but the normals, so they are one stream, of which each
-window takes the next m*k in C order as its (m, k) block.  From its second
-window on, while the kernel runs a window whose m*k normals fill at least
-one kernel column block, one worker thread draws the next window's
-normals: m*k of them, enough for any k' <= k live paths, less those left
-over.  Philox is counter-based, so filling its stream in pieces gives the
-bits one draw gives: the result is the same as drawing each window's
-block inline.  The worker is started when first needed and joined before
-the run returns, also when the kernel raises.  A model without a Gaussian
-part draws no normals: its one-row windows, which the kernel runs on a
-branch of their own, read zeros from one (1, n) buffer made once per run.
+first jump epoch.  A window of a run with a Gaussian part has m = 128 rows,
+except in marginal mode, whose windows have 32, 64, then 128 rows: most
+paths cross their targets in the first rows, and a window's rows past
+every path's stop are drawn and stepped for nothing.  STOP_AT_ZETA runs
+(functional and coupled batches) keep 128 rows throughout.  A model with
+jumps then draws, per window, the window's (m, k) normals, then the jump
+sizes and next epochs of the paths that jumped in it, all on the calling
+thread.  A jump-free Gaussian run draws nothing after zeta but the
+normals, so they are one stream, of which each window takes the next m*k
+in C order as its (m, k) block.  From its second window on, while the
+kernel runs a window, one worker thread draws the next window's normals
+if they fill at least one kernel column block: m'*k of them for its m'
+rows, enough for any k' <= k live paths, less those left over.  Philox
+is counter-based, so filling its stream in pieces gives the bits one draw
+gives: the result is the same as drawing each window's block inline.  The
+worker is started when first needed and joined before the run returns,
+also when the kernel raises.  A model without a Gaussian part draws no
+normals: its one-row windows, which the kernel runs on a branch of their
+own, read zeros from one (1, n) buffer made once per run.
 """
 
 from __future__ import annotations
@@ -79,6 +91,10 @@ CONVERGED = 3  # conservative model: trailing window below rel_tol
 CENSORED = 4   # horizon exhausted first
 
 _WINDOW_STEPS = 128
+# a TARGET run with a Gaussian part starts with windows of this many rows,
+# each window twice the last up to _WINDOW_STEPS: most of its paths cross
+# their targets in the first rows
+_FIRST_TARGET_STEPS = 32
 _WINDOW_TIME = 4.0
 _MIN_TIME = 1.0    # a conservative path is not read as converged before it
 
@@ -94,7 +110,8 @@ class FunctionalBatch:
 @dataclass
 class MarginalBatch:
     xi: np.ndarray          # xi at the crossing time (valid where hit)
-    status: np.ndarray      # HIT / KILLED / CENSORED per path
+    status: np.ndarray      # HIT / KILLED / CONVERGED / CENSORED per path
+    normals: int = 0        # normals the windows took
 
 
 def _draw_jump_sizes(specs, cum, rng, k):
@@ -115,20 +132,22 @@ def _draw_jump_sizes(specs, cum, rng, k):
 
 class _GaussNormals:
     """The normals of a jump-free Gaussian run, in stream order, filled
-    into two preallocated buffers in turn: the next window's draw and the
-    leftover go into the buffer that the kernel is not reading."""
+    into two preallocated buffers of m rows by n paths in turn: the next
+    window's draw and the leftover go into the buffer that the kernel is
+    not reading."""
 
     def __init__(self, rng, m, n):
-        self.rng, self.m = rng, m
+        self.rng = rng
         self.bufs = [np.empty(m * n), np.empty(m * n)]
         self.have = 0        # drawn, unused normals at the front of bufs[0]
         self.started = False
         self.pool = None
         self.pending = None
 
-    def take(self, k):
-        """The next window's (m, k) block, valid until the next call."""
-        need = self.m * k
+    def take(self, m, k, m_next):
+        """The next window's (m, k) block, valid until the next call; the
+        window after it has m_next rows."""
+        need = m * k
         cur, nxt = self.bufs
         if self.pending is not None:
             self.pending.result()
@@ -140,18 +159,19 @@ class _GaussNormals:
         nxt[:rest] = cur[need:self.have]
         self.have = rest
         # draw ahead from the second window on, as many runs end in their
-        # first, and only for a window that fills a column block: a thread
+        # first, and only for a draw that fills a column block: a thread
         # handoff costs more than a small draw, and the last small windows
         # use up the leftover
-        if self.started and need >= _kernels._BLOCK_CELLS and rest < need:
+        ahead = m_next * k
+        if self.started and ahead >= _kernels._BLOCK_CELLS and rest < ahead:
             if self.pool is None:
                 self.pool = ThreadPoolExecutor(max_workers=1)
             self.pending = self.pool.submit(self.rng.standard_normal,
-                                            out=nxt[rest:need])
-            self.have = need
+                                            out=nxt[rest:ahead])
+            self.have = ahead
         self.started = True
         self.bufs.reverse()
-        return cur[:need].reshape(self.m, k)
+        return cur[:need].reshape(m, k)
 
     def close(self):
         """Join the worker once its last draw is done; a failed draw
@@ -171,6 +191,8 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None,
     m, step = (_WINDOW_STEPS, dt) if sigma > 0 else (1, _WINDOW_TIME)
     span = m * step
     mode = _kernels.TARGET if targets is not None else _kernels.STOP_AT_ZETA
+    # rows of the current window
+    m_win = min(m, _FIRST_TARGET_STEPS) if targets is not None else m
     conservative = model.killing == 0
     # the live state holds only the rows this run reads, one per quantity
     # and one column per live path; the first rows are the outputs
@@ -204,10 +226,11 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None,
     try:
         while live.size:
             k = live.size
+            m_next = min(2 * m_win, m)
             if gauss is not None:
-                normals = gauss.take(k)
+                normals = gauss.take(m_win, k, m_next)
             elif sigma > 0:
-                normals = rng.standard_normal((m, k))
+                normals = rng.standard_normal((m_win, k))
             else:
                 normals = zeros[:, :k]
             taken += normals.size if sigma > 0 else 0
@@ -233,11 +256,13 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None,
                 jump_at[ji] = t[ji] + rng.exponential(1.0 / total_rate,
                                                       ji.size)
             if conservative:
-                # convergence is read after a full window, or at a jump
-                # once a window's time has passed since the last reading,
-                # never on a window that a jump cut short
+                # convergence is read after a full-length window, or at a
+                # jump or after a shorter window once a full window's time
+                # has passed since the last reading; never on a window that
+                # a jump cut short
                 next_check = s["next_check"]
-                due = (st == 0) & (~jumped | (t >= next_check))
+                due = (st == 0) & ((~jumped & (m_win == m)) |
+                                   (t >= next_check))
                 conv = due & (t >= _MIN_TIME) & (w < rel_tol * a)
                 st[conv] = CONVERGED
                 reset = due & ~conv
@@ -253,6 +278,7 @@ def _run(model: LevyModel, sign, n, rng, dt, horizon, rel_tol, targets=None,
                 live = live[keep]
                 state = np.compress(keep, state, axis=1)
                 s = dict(zip(rows, state))
+            m_win = m_next
     finally:
         if gauss is not None:
             gauss.close()
@@ -307,8 +333,10 @@ def coupled_batch(model: LevyModel, sign: float, n: int, config: SimConfig,
 def marginal_batch(model: LevyModel, targets: np.ndarray,
                    config: SimConfig) -> MarginalBatch:
     """xi at the first time A crosses each target (the Lamperti clock),
-    KILLED where zeta arrives first (the pssMp is already at 0); drawn on
-    the config's stream."""
+    KILLED where zeta arrives first and CONVERGED where a conservative
+    path's A converged below its target (in both the pssMp is already at
+    0), CENSORED where the horizon came first; drawn on the config's
+    stream."""
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 1:
         raise ValueError(f"targets must be 1-D, got shape {targets.shape}")
@@ -316,8 +344,7 @@ def marginal_batch(model: LevyModel, targets: np.ndarray,
     if bad.any():
         raise ValueError(f"targets must be finite and >= 0, got "
                          f"{float(targets[bad][0])!r}")
-    # rel_tol = 0: a path stops only at its target, at zeta or the horizon
-    _, x, _, status, _ = _run(model, 1.0, targets.size, config.rng(),
-                              config.dt, config.horizon, rel_tol=0.0,
-                              targets=targets)
-    return MarginalBatch(xi=x, status=status)
+    _, x, _, status, taken = _run(model, 1.0, targets.size, config.rng(),
+                                  config.dt, config.horizon, REL_TOL,
+                                  targets=targets)
+    return MarginalBatch(xi=x, status=status, normals=taken)

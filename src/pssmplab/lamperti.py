@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import HIT, REL_TOL, _check_n, marginal_batch
+from .engine import CENSORED, HIT, REL_TOL, _check_n, marginal_batch
 from .errors import HorizonTooShort, StartsAtZero
 from .expfun import sample_I_batch
 from .models import LevyModel
@@ -167,7 +167,9 @@ def hitting_time_samples(model: LevyModel, x0: float, n: int,
 def pssmp_marginal(model: LevyModel, x0: float, t: float, n: int,
                    config: SimConfig) -> np.ndarray:
     """n draws of X_t under P_{x0} on the config's stream; 0 where the path
-    was absorbed before t."""
+    was absorbed before t, killed or with its clock converged below the
+    target.  A censored draw is unknown, not absorbed, so any censored
+    draw raises HorizonTooShort."""
     _check_positive("x0", x0)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
@@ -180,5 +182,9 @@ def pssmp_marginal(model: LevyModel, x0: float, t: float, n: int,
         raise ValueError(f"the Lamperti target t * x0^(-1/alpha) overflows "
                          f"at x0={x0!r}, t={t!r}")
     batch = marginal_batch(model, np.full(n, target), config)
-    out = np.where(batch.status == HIT, x0 * np.exp(batch.xi), 0.0)
-    return out
+    censored = int((batch.status == CENSORED).sum())
+    if censored:
+        raise HorizonTooShort(
+            f"{censored} of {n} draws of X_t neither crossed the target nor "
+            f"were absorbed within the horizon {config.horizon!r}")
+    return np.where(batch.status == HIT, x0 * np.exp(batch.xi), 0.0)

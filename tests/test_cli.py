@@ -228,6 +228,24 @@ def test_a_check_whose_every_draw_is_zero_fails():
     assert report["failed"] == 2
 
 
+def test_verify_report_is_strict_json(tmp_path):
+    # the zero-draw resolvent's se and z are NaN: the report writes null,
+    # not the bare NaN a strict parser refuses
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"checks": [
+        {"op": "resolvent", "model": "bessel", "lambda": 1e6, "n": 200}]}))
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", str(suite), "--out", str(out)]) == 1
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    rec = report["checks"][0]
+    assert rec["se"] is None and rec["z"] is None and rec["pass"] is False
+    assert rec["lhs"] == 0.0 and report["failed"] == 1
+
+
 @pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
 def test_verify_rejects_a_seed_outside_the_key_before_any_check(
         seed, tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """The batch engine across model classes: oracle checks for the mixed class
 (Gaussian part and jumps together), agreement of the engine's I draws with
 the per-path sampler, the convergence rule when jumps cut windows short,
-and the draw order of a jump-free Gaussian run, whose normals a worker
-thread draws ahead."""
+the draw order of a jump-free Gaussian run, whose normals a worker thread
+draws ahead, and the growing windows of marginal mode."""
 
+import hashlib
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -11,8 +13,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from pssmplab import catalog, engine
-from pssmplab.engine import functional_batch, marginal_batch
+from pssmplab import _kernels, catalog, engine
+from pssmplab.engine import (
+    CENSORED,
+    CONVERGED,
+    HIT,
+    KILLED,
+    coupled_batch,
+    functional_batch,
+    marginal_batch,
+)
 from pssmplab.extensions import entrance_law_curve
 from pssmplab.expfun import (
     dual_identity_check,
@@ -192,6 +202,10 @@ def test_gaussian_normals_are_one_stream_in_window_order(monkeypatch, case):
     else:
         functional_batch(model, -1.0 if case == "J" else 1.0, n, CFG)
     assert len(blocks) > 2
+    # marginal windows grow from 32 rows; the others all have 128
+    rows = [b.shape[0] for b in blocks]
+    first = [32, 64] if case == "marginal" else []
+    assert rows == first + [128] * (len(rows) - len(first))
     # the worker drew ahead exactly in the runs above one block
     assert max(threads) - threads[0] == (case != "I_below_block")
     rng = CFG.rng()
@@ -200,6 +214,128 @@ def test_gaussian_normals_are_one_stream_in_window_order(monkeypatch, case):
     drawn = np.concatenate([b.ravel() for b in blocks])
     expected = rng.standard_normal(drawn.size)
     assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
+
+def _reference_marginal(model, targets, cfg):
+    """marginal_batch of a killed model as a plain loop over windows of 32,
+    64, 128, 128, ... rows.  Each window takes the next (m, k) normals for
+    its k live paths, then the jump sizes and the next epochs of the paths
+    that stopped at a jump epoch; no state is compacted."""
+    rng = cfg.rng()
+    n = targets.size
+    zeta = rng.exponential(1.0 / model.killing, n)
+    rate = sum(spec.intensity for spec in model.jumps)
+    jump_at = rng.exponential(1.0 / rate, n) if model.jumps \
+        else np.full(n, np.inf)
+    x, a, t = np.zeros(n), np.zeros(n), np.zeros(n)
+    status = np.zeros(n, np.int8)
+    live, m = np.arange(n), 32
+    while live.size:
+        k = live.size
+        normals = rng.standard_normal((m, k))
+        xl, al, tl, done = x[live], a[live], t[live], np.zeros(k, np.int8)
+        _kernels.advance_window(xl, al, tl, np.zeros(k), done,
+                                np.minimum(zeta[live], jump_at[live]),
+                                targets[live], normals, model.drift,
+                                math.sqrt(model.gaussian), cfg.dt,
+                                1.0 / model.alpha, 1.0, _kernels.TARGET)
+        x[live], a[live], t[live] = xl, al, tl
+        jumped = (done == KILLED) & (jump_at[live] < zeta[live])
+        ji = live[jumped]
+        if ji.size:
+            done[jumped] = 0
+            x[ji] += model.jumps[0].sample_sizes(rng, ji.size)
+            jump_at[ji] = t[ji] + rng.exponential(1.0 / rate, ji.size)
+        done[(done == 0) & (tl >= cfg.horizon)] = CENSORED
+        status[live] = done
+        live = live[done == 0]
+        m = min(2 * m, 128)
+    return x, status
+
+
+@pytest.mark.parametrize("name", ["brownian", "mixed"])
+def test_marginal_windows_grow_from_32_rows(name):
+    # the draw contract of a TARGET run: the stream is taken in blocks of
+    # (32, k), (64, k'), (128, k''), ... with the jumps of each window
+    # drawn after its normals, bit for bit, also when the worker draws
+    # ahead (3000 paths fill more than one column block)
+    model = {"brownian": catalog.brownian(), "mixed": _mixed()}[name]
+    targets = CFG.substream(1).rng().exponential(2.0, 3000)
+    batch = marginal_batch(model, targets, CFG)
+    x, status = _reference_marginal(model, targets, CFG)
+    assert np.array_equal(batch.status, status)
+    assert np.array_equal(batch.xi.view(np.uint64), x.view(np.uint64))
+    assert {HIT, KILLED} <= set(np.unique(status))
+
+
+def test_a_marginal_run_that_ends_in_its_first_window_takes_32_rows():
+    # every path crosses its target, or is killed, within 32 rows of 0.01
+    n = 1000
+    batch = marginal_batch(catalog.brownian(), np.full(n, 0.01), CFG)
+    assert set(np.unique(batch.status)) <= {HIT, KILLED}
+    assert batch.normals == 32 * n
+
+
+def test_a_conservative_marginal_reads_convergence_after_full_spans():
+    # xi_t = -t: A converges to 1 below the targets 2.  At dt = 0.5 the
+    # windows of 32 and 64 rows end at t = 16 and 48; a reading there would
+    # find the 64 rows past t = 16 below rel_tol.  A reading needs a full
+    # 128-row window: the first, at row 224, resets w = A, and the second,
+    # at row 352, reads the path converged
+    model = LevyModel(drift=-1.0, gaussian=1e-8, jumps=(), killing=0.0,
+                      alpha=1.0)
+    n = 50
+    batch = marginal_batch(model, np.full(n, 2.0),
+                           SimConfig(dt=0.5, horizon=400.0, seed=0))
+    assert (batch.status == CONVERGED).all()
+    assert batch.normals == (32 + 64 + 128 + 128) * n
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_stop_at_zeta_draws_keep_their_bits():
+    # functional and coupled runs keep 128-row windows: these digests are
+    # those of the draws before marginal windows grew
+    brownian, bessel = catalog.brownian(), catalog.bessel(1.0)
+    runs = {
+        "I": functional_batch(brownian, 1.0, 3000, CFG),
+        "I_conservative": functional_batch(bessel, 1.0, 500, CFG),
+        "J": functional_batch(esscher(brownian, 0.5), -1.0, 1000, CFG),
+        "coupled": coupled_batch(brownian, 1.0, 1000, CFG),
+        "coupled_conservative": coupled_batch(bessel, 1.0, 300, CFG),
+    }
+    digests = {name: _digest(b.values, b.censored,
+                             *([] if b.coarse is None else [b.coarse]))
+               for name, b in runs.items()}
+    assert digests == {
+        "I": "d8dfcb1e56f6b199",
+        "I_conservative": "a0773e3738f6e5d3",
+        "J": "f8f3c7b2fa20a548",
+        "coupled": "0266df4d53d833a7",
+        "coupled_conservative": "ecc01c08e49c07ef",
+    }
+    assert [b.normals for b in runs.values()] == [
+        2550656, 783744, 2782848, 885376, 466816]
+
+
+def test_conservative_marginal_stops_at_convergence():
+    # BES(1) from x = 1 is Brownian motion absorbed at 0: P(X_1 = 0) =
+    # P(T_0 <= 1) = erfc(1/sqrt 2).  Its absorbed paths leave the run
+    # CONVERGED, none CENSORED.  Calibrated on seeds 6000-6039 at this n:
+    # mean z 0.06, mean z^2 1.05, max |z| 2.54.
+    n = 5000
+    batch = marginal_batch(catalog.bessel(1.0), np.ones(n),
+                           SimConfig(seed=0))
+    assert not (batch.status == CENSORED).any()
+    assert set(np.unique(batch.status)) == {HIT, CONVERGED}
+    p = math.erfc(1.0 / math.sqrt(2.0))
+    zero = (batch.status == CONVERGED).mean()
+    assert abs(zero - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
 
 
 @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])

@@ -8,7 +8,7 @@ import pytest
 
 from pssmplab import catalog
 from pssmplab.expfun import moment, sample_I_batch
-from pssmplab.engine import REL_TOL
+from pssmplab.engine import CENSORED, HIT, REL_TOL, marginal_batch
 from pssmplab.errors import HorizonTooShort, ModelDoesNotHitZero, StartsAtZero
 from pssmplab.lamperti import (
     PssmpPath,
@@ -140,6 +140,29 @@ def test_pssmp_marginal_brownian():
     for t in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="t must"):
             pssmp_marginal(catalog.brownian(), 1.0, t, 10, cfg)
+
+
+def test_pssmp_marginal_refuses_censored_draws():
+    # a censored draw of X_t is unknown, not 0: BES(1.5) clocks converge
+    # slowly, and at horizon 40 some paths neither cross nor converge
+    short = SimConfig(dt=0.01, horizon=40.0, seed=0)
+    model = catalog.bessel(1.5)
+    status = marginal_batch(model, np.ones(2000), short).status
+    censored = int((status == CENSORED).sum())
+    assert censored > 0
+    with pytest.raises(HorizonTooShort, match=re.escape(
+            f"{censored} of 2000 draws of X_t neither crossed the target "
+            f"nor were absorbed within the horizon 40.0")):
+        pssmp_marginal(model, 1.0, 1.0, 2000, short)
+    # at horizon 400 every path ends: each reads x0 e^xi where it crossed
+    # and 0 where it was absorbed
+    for model in (catalog.bessel(1.5), catalog.brownian()):
+        cfg = SimConfig(dt=0.01, horizon=400.0, seed=0)
+        batch = marginal_batch(model, np.full(2000, 0.5), cfg)
+        assert not (batch.status == CENSORED).any()
+        x = pssmp_marginal(model, 1.0, 0.5, 2000, cfg)
+        assert np.array_equal(x, np.where(batch.status == HIT,
+                                          np.exp(batch.xi), 0.0))
 
 
 @pytest.mark.parametrize("n", [-3, 0, 2.5, True])
